@@ -115,7 +115,9 @@ def cmd_accuracy(args) -> int:
         f"({totals.n_unclassified} unclassified), overall accuracy {acc}"
     )
     worst = curve.first_imperfect_bucket()
-    if worst is None:
+    if totals.n_classified == 0:
+        print("no packet was classified")
+    elif worst is None:
         print("all buckets at 100%")
     else:
         print(

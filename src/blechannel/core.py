@@ -9,6 +9,7 @@ without an explicit conversion raises instead of silently producing garbage.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import ClockMismatchError, ConfigError
@@ -27,7 +28,10 @@ class Duration:
 
     @classmethod
     def from_seconds(cls, seconds: float) -> "Duration":
-        return cls(round(seconds * NS_PER_S))
+        ns = seconds * NS_PER_S
+        if not math.isfinite(ns):
+            raise ConfigError(f"duration out of range: {seconds!r} s")
+        return cls(round(ns))
 
     @property
     def seconds(self) -> float:

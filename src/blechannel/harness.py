@@ -135,6 +135,30 @@ def _parse_meta_tokens(line: str, lineno: int) -> dict[str, str]:
     return out
 
 
+def _csv_rows(lines: list[str], first: int, n_fields: int):
+    """(lineno, fields) for each non-blank row of ``lines[first:]``.
+
+    ``lineno`` is the 1-based line number in the file, blank lines counted.
+    """
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise TraceParseError(f"expected {n_fields} fields", line=lineno)
+        yield lineno, parts
+
+
+def _table_rows(text: str, columns: str, message: str):
+    """Rows of a CSV whose first non-blank line is the ``columns`` header."""
+    lines = text.splitlines()
+    head = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    if head == len(lines) or lines[head].strip() != columns:
+        raise TraceParseError(message, line=head + 1)
+    return _csv_rows(lines, head + 1, columns.count(",") + 1)
+
+
 def trace_from_text(text: str) -> TraceFile:
     lines = text.splitlines()
     if not lines or lines[0].strip() != TRACE_MAGIC:
@@ -182,38 +206,32 @@ def trace_from_text(text: str) -> TraceFile:
     packets = []
     est: list[str] = []
     prev_ns = None
-    for lineno in range(i + 1, len(lines)):
-        line = lines[lineno].strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != (5 if has_est else 4):
-            raise TraceParseError(f"expected {5 if has_est else 4} fields", line=lineno + 1)
+    for lineno, parts in _csv_rows(lines, i + 1, 5 if has_est else 4):
         try:
             recv_ns = int(parts[0])
         except ValueError as exc:
-            raise TraceParseError("recv_time_ns must be an integer", line=lineno + 1) from exc
+            raise TraceParseError("recv_time_ns must be an integer", line=lineno) from exc
         if prev_ns is not None and recv_ns < prev_ns:
-            raise TraceOrderError(f"line {lineno + 1}: timestamps moved backwards")
+            raise TraceOrderError(f"line {lineno}: timestamps moved backwards")
         prev_ns = recv_ns
         device = parts[1]
         if not _DEVICE_ID.fullmatch(device):
-            raise TraceParseError(f"bad device id {device!r}", line=lineno + 1)
+            raise TraceParseError(f"bad device id {device!r}", line=lineno)
         channel = None
         if parts[2]:
             try:
                 channel = Channel.of(int(parts[2]))
             except (ValueError, ConfigError) as exc:
-                raise TraceParseError(f"bad true_channel {parts[2]!r}", line=lineno + 1) from exc
+                raise TraceParseError(f"bad true_channel {parts[2]!r}", line=lineno) from exc
         rssi = None
         if parts[3]:
             try:
                 rssi = float(parts[3])
             except ValueError as exc:
-                raise TraceParseError(f"bad rssi_dbm {parts[3]!r}", line=lineno + 1) from exc
+                raise TraceParseError(f"bad rssi_dbm {parts[3]!r}", line=lineno) from exc
         if has_est:
             if parts[4] not in EST_LABELS:
-                raise TraceParseError(f"bad est_channel {parts[4]!r}", line=lineno + 1)
+                raise TraceParseError(f"bad est_channel {parts[4]!r}", line=lineno)
             est.append(parts[4])
         packets.append(
             PacketRecord(
@@ -317,14 +335,8 @@ class AccuracyCurve:
 
     @classmethod
     def from_csv_text(cls, text: str) -> "AccuracyCurve":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != CURVE_COLUMNS:
-            raise TraceParseError("not an accuracy-curve CSV", line=1)
         buckets = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise TraceParseError("expected 6 fields", line=lineno)
+        for lineno, parts in _table_rows(text, CURVE_COLUMNS, "not an accuracy-curve CSV"):
             try:
                 buckets.append(
                     AccuracyBucket(
@@ -435,6 +447,15 @@ class ExperimentConfig:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"bad adv_channels {self.adv_channels!r}: {exc}") from exc
 
+    def rssi_model(self) -> RssiModel:
+        return RssiModel(
+            tx_power_dbm=self.tx_power_dbm,
+            antenna_gain_db=self.antenna_gain_db,
+            path_loss_exponent=self.path_loss_exponent,
+            shadow_sigma_db=self.shadow_sigma_db,
+            channel_offset_db=self.offsets(),
+        )
+
     def offsets(self) -> tuple[float, float, float]:
         parts = [v.strip() for v in self.channel_offsets_db.split(",")]
         if len(parts) != 3:
@@ -462,6 +483,8 @@ class ExperimentConfig:
                     kwargs[key] = value
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
+            if ftype == "float" and not math.isfinite(kwargs[key]):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         return cls(**kwargs, explicit=frozenset(kwargs))
 
     @classmethod
@@ -487,17 +510,10 @@ def _parse_config_lines(text: str) -> dict[str, str]:
     return out
 
 
-def _scan_preset(name: str) -> ScanSettings:
+def _preset(name: str, kind: type, what: str):
     settings = preset_settings(name)
-    if not isinstance(settings, ScanSettings):
-        raise ConfigError(f"{name} is not a scan mode")
-    return settings
-
-
-def _adv_preset(name: str) -> AdvSettings:
-    settings = preset_settings(name)
-    if not isinstance(settings, AdvSettings):
-        raise ConfigError(f"{name} is not an advertise mode")
+    if not isinstance(settings, kind):
+        raise ConfigError(f"{name} is not {what}")
     return settings
 
 
@@ -516,8 +532,8 @@ def scenario_behavior(cfg: ExperimentConfig) -> ScannerBehavior:
 
 def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False) -> SimTrace:
     """One full simulated capture for the configured scenario."""
-    scan = _scan_preset(cfg.scan_mode)
-    adv = _adv_preset(cfg.adv_mode)
+    scan = _preset(cfg.scan_mode, ScanSettings, "a scan mode")
+    adv = _preset(cfg.adv_mode, AdvSettings, "an advertise mode")
     behavior = scenario_behavior(cfg)
     duration = Duration.from_seconds(cfg.duration_s)
     if duration.ns <= 0:
@@ -544,13 +560,7 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
     loss = LossModel(drop_prob=cfg.loss_prob)
     packets = simulate_reception(events, windows, restarts, clock, loss, substream(seed, "rx"))
     if with_rssi:
-        model = RssiModel(
-            tx_power_dbm=cfg.tx_power_dbm,
-            antenna_gain_db=cfg.antenna_gain_db,
-            path_loss_exponent=cfg.path_loss_exponent,
-            shadow_sigma_db=cfg.shadow_sigma_db,
-            channel_offset_db=cfg.offsets(),
-        )
+        model = cfg.rssi_model()
         rng = substream(seed, "rssi")
         span = cfg.distance_max_m - cfg.distance_min_m
         distances = {
@@ -569,7 +579,7 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
 
 def detector_config(cfg: ExperimentConfig, behavior: ScannerBehavior) -> DetectorConfig:
     """Detector settings for a scenario, honouring what the device really does."""
-    effective = behavior.effective_settings(_scan_preset(cfg.scan_mode))
+    effective = behavior.effective_settings(_preset(cfg.scan_mode, ScanSettings, "a scan mode"))
     return DetectorConfig(
         scan_settings=effective,
         guard=Duration.from_seconds(cfg.guard_s),
@@ -717,14 +727,7 @@ def gen_ranging_samples(cfg: ExperimentConfig, n: int, rng) -> list[RangingSampl
     """
     if not 0 < cfg.distance_min_m <= cfg.distance_max_m:
         raise ConfigError("need 0 < distance_min_m <= distance_max_m")
-    model = RssiModel(
-        tx_power_dbm=cfg.tx_power_dbm,
-        antenna_gain_db=cfg.antenna_gain_db,
-        path_loss_exponent=cfg.path_loss_exponent,
-        shadow_sigma_db=cfg.shadow_sigma_db,
-        channel_offset_db=cfg.offsets(),
-    )
-    truth = model.to_calibration()
+    read = cfg.rssi_model().reader(rng)
     channels = tuple(Channel.of(c) for c in (37, 38, 39))
     lo = math.log10(cfg.distance_min_m)
     hi = math.log10(cfg.distance_max_m)
@@ -732,10 +735,7 @@ def gen_ranging_samples(cfg: ExperimentConfig, n: int, rng) -> list[RangingSampl
     for _ in range(n):
         ch = rng.choice(channels)
         d = 10.0 ** (lo + rng.random() * (hi - lo))
-        rssi = truth.predict_rssi(ch, d)
-        if cfg.shadow_sigma_db > 0:
-            rssi += rng.gauss(0.0, cfg.shadow_sigma_db)
-        samples.append(RangingSample(channel=ch, distance_m=d, rssi_dbm=rssi))
+        samples.append(RangingSample(channel=ch, distance_m=d, rssi_dbm=read(ch, d)))
     return samples
 
 
@@ -754,14 +754,9 @@ def run_ranging_experiment(cfg: ExperimentConfig) -> RangingResult:
 
 def read_samples_csv(path: str) -> list[RangingSample]:
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != SAMPLES_COLUMNS:
-        raise TraceParseError(f"expected {SAMPLES_COLUMNS!r} header", line=1)
+        rows = _table_rows(f.read(), SAMPLES_COLUMNS, f"expected {SAMPLES_COLUMNS!r} header")
     samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise TraceParseError("expected 3 fields", line=lineno)
+    for lineno, parts in rows:
         try:
             samples.append(
                 RangingSample(

@@ -134,21 +134,36 @@ class ScannerBehavior:
         raise NotImplementedError
 
 
-def _round_robin(start_ns, end_ns, interval_ns, window_ns, first: Channel):
-    """Windows every ``interval_ns`` from ``start_ns``, channels cycling."""
-    out = []
-    ch = first
-    k = 0
+def _cycle(ch: Channel = CH37):
+    """The compliant channel order 37 -> 38 -> 39 -> 37 ..., from ``ch`` on."""
     while True:
-        ws = start_ns + k * interval_ns
-        if ws >= end_ns:
-            return out
-        we = min(ws + window_ns, end_ns)
-        out.append(
-            ScanWindow(TimeInstant(ws, RADIO_CLOCK), TimeInstant(we, RADIO_CLOCK), ch)
-        )
+        yield ch
         ch = next_channel(ch)
-        k += 1
+
+
+def _random_walk(rng: random.Random):
+    """Channels from 37 on, each next one drawn uniformly from the other two."""
+    ch = CH37
+    while True:
+        yield ch
+        ch = rng.choice([c for c in _ALL_CHANNELS if c != ch])
+
+
+def _cadence(start_ns, end_ns, interval_ns, window_ns, channels):
+    """Windows every ``interval_ns`` from ``start_ns``, cut off at ``end_ns``.
+
+    Each window takes the next channel from the ``channels`` iterator, which
+    is advanced only when a window opens, so random channel sources draw
+    exactly once per window.
+    """
+    return [
+        ScanWindow(
+            TimeInstant(ws, RADIO_CLOCK),
+            TimeInstant(min(ws + window_ns, end_ns), RADIO_CLOCK),
+            next(channels),
+        )
+        for ws in range(start_ns, end_ns, interval_ns)
+    ]
 
 
 class Compliant(ScannerBehavior):
@@ -157,13 +172,11 @@ class Compliant(ScannerBehavior):
     tag = "compliant"
 
     def windows(self, settings, epochs, rng):
+        own = self.effective_settings(settings)
+        interval, window = own.scan_interval.ns, own.scan_window.ns
         out = []
         for start, end in epochs:
-            out.extend(
-                _round_robin(
-                    start.ns, end.ns, settings.scan_interval.ns, settings.scan_window.ns, CH37
-                )
-            )
+            out += _cadence(start.ns, end.ns, interval, window, _cycle())
         return out
 
 
@@ -186,29 +199,17 @@ class BalancedOffset(ScannerBehavior):
     def windows(self, settings, epochs, rng):
         interval = settings.scan_interval.ns
         window = settings.scan_window.ns
+        random_channels = iter(lambda: rng.choice(_ALL_CHANNELS), None)
         out = []
         for start, end in epochs:
             span = round(self.offset_factor * interval)
             settle_ns = min(start.ns + rng.randrange(span + 1), end.ns)
-            k = 0
-            while True:
-                ws = start.ns + k * interval
-                if ws >= settle_ns:
-                    break
-                we = min(ws + window, settle_ns)
-                out.append(
-                    ScanWindow(
-                        TimeInstant(ws, RADIO_CLOCK),
-                        TimeInstant(we, RADIO_CLOCK),
-                        rng.choice(_ALL_CHANNELS),
-                    )
-                )
-                k += 1
-            out.extend(_round_robin(settle_ns, end.ns, interval, window, CH37))
+            out += _cadence(start.ns, settle_ns, interval, window, random_channels)
+            out += _cadence(settle_ns, end.ns, interval, window, _cycle())
         return out
 
 
-class AltInterval(ScannerBehavior):
+class AltInterval(Compliant):
     """Compliant pattern, but at the device's own timing.
 
     Models hardware that ignores the requested scan parameters (seen on
@@ -224,16 +225,6 @@ class AltInterval(ScannerBehavior):
 
     def effective_settings(self, settings):
         return self._own
-
-    def windows(self, settings, epochs, rng):
-        out = []
-        for start, end in epochs:
-            out.extend(
-                _round_robin(
-                    start.ns, end.ns, self._own.scan_interval.ns, self._own.scan_window.ns, CH37
-                )
-            )
-        return out
 
 
 class RapidToggle(ScannerBehavior):
@@ -288,20 +279,10 @@ class NonStandardOrder(ScannerBehavior):
 
     def windows(self, settings, epochs, rng):
         interval = settings.scan_interval.ns
+        walk = _random_walk(rng)
         out = []
-        ch = CH37
         for start, end in epochs:
-            k = 0
-            while True:
-                ws = start.ns + k * interval
-                if ws >= end.ns:
-                    break
-                we = min(ws + interval, end.ns)
-                out.append(
-                    ScanWindow(TimeInstant(ws, RADIO_CLOCK), TimeInstant(we, RADIO_CLOCK), ch)
-                )
-                ch = rng.choice([c for c in _ALL_CHANNELS if c != ch])
-                k += 1
+            out += _cadence(start.ns, end.ns, interval, interval, walk)
         return out
 
 
@@ -321,8 +302,8 @@ class ContinueChannel(ScannerBehavior):
         out = []
         ch = CH37
         for start, end in epochs:
-            made = _round_robin(start.ns, end.ns, interval, window, ch)
-            out.extend(made)
+            made = _cadence(start.ns, end.ns, interval, window, _cycle(ch))
+            out += made
             if made:
                 last = made[-1]
                 cut_short = last.end.ns == end.ns and last.duration.ns < window
@@ -469,6 +450,19 @@ class RssiModel:
             channel_offset_db=self.channel_offset_db,
         )
 
+    def reader(self, rng: random.Random):
+        """``read(channel, distance_m)``: the exact prediction plus one shadowing draw."""
+        truth = self.to_calibration()
+        sigma = self.shadow_sigma_db
+
+        def read(channel: Channel, distance_m: float) -> float:
+            level = truth.predict_rssi(channel, distance_m)
+            if sigma > 0:
+                level += rng.gauss(0.0, sigma)
+            return level
+
+        return read
+
 
 @dataclass(frozen=True, slots=True)
 class PacketRecord:
@@ -561,14 +555,11 @@ def attach_rssi(
     rng: random.Random,
 ) -> list[PacketRecord]:
     """Fill in RSSI readings given each device's distance in metres."""
-    truth = model.to_calibration()
+    read = model.reader(rng)
     out = []
     for p in packets:
         d = distances.get(p.device_id)
         if d is None:
             raise ConfigError(f"no distance given for device {p.device_id!r}")
-        level = truth.predict_rssi(p.channel, d)
-        if model.shadow_sigma_db > 0:
-            level += rng.gauss(0.0, model.shadow_sigma_db)
-        out.append(replace(p, rssi_dbm=level))
+        out.append(replace(p, rssi_dbm=read(p.channel, d)))
     return out

@@ -129,6 +129,40 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys):
     assert "no_such_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "duration_s = nan",
+        "guard_s = nan",
+        "drift_rate = nan",
+        "duration_s = inf",
+        "guard_s = 1e300",
+    ],
+)
+def test_non_finite_config_values_are_a_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert run(["accuracy", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_non_finite_duration_flag_is_a_usage_error(tmp_path, capsys):
+    assert run(["simulate", "--duration", "nan", "--out", str(tmp_path / "t.csv")]) == 2
+    assert "duration out of range" in capsys.readouterr().err
+
+
+def test_accuracy_says_so_when_nothing_was_classified(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("duration_s = 20\nbucket_s = 10\nn_advertisers = 0\n", encoding="utf-8")
+    assert run(["accuracy", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "0 classified" in out
+    assert "no packet was classified" in out
+    assert "100%" not in out
+
+
 def test_unreadable_input_is_a_data_error(tmp_path, capsys):
     assert run(["classify", "--in", str(tmp_path / "missing.csv")]) == 1
     capsys.readouterr()

@@ -50,6 +50,9 @@ def test_duration_arithmetic_and_rounding():
     assert b < a
     assert bool(Duration(0)) is False
     assert a.seconds == pytest.approx(1.5e-6)
+    for bad in (float("nan"), float("inf"), float("-inf"), 1e300):
+        with pytest.raises(ConfigError):
+            Duration.from_seconds(bad)
 
 
 def test_instants_keep_their_clock():

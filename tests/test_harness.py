@@ -251,6 +251,9 @@ def test_config_from_text_parses_sections_and_comments():
         "duration_s = \n",
         "[unterminated\n",
         "just a bare line\n",
+        "drift_rate = nan\n",
+        "duration_s = inf\n",
+        "guard_s = -inf\n",
     ],
 )
 def test_config_from_text_rejects_bad_input(text):
@@ -346,3 +349,25 @@ def test_samples_csv_round_trip(tmp_path):
     with pytest.raises(TraceParseError) as exc:
         read_samples_csv(str(bad))
     assert exc.value.line == 2
+
+
+def test_parse_errors_name_the_file_line_after_blank_lines(tmp_path):
+    """Blank lines are skipped but still counted in the reported line."""
+    curve_text = AccuracyCurve(buckets=(AccuracyBucket(0.0, 10.0, 1, 1, 0),)).to_csv_text()
+    curve_lines = curve_text.splitlines()
+    bad_curve = "\n".join([curve_lines[0], "", curve_lines[1], "", "", "1,2,x,4,5,"]) + "\n"
+    with pytest.raises(TraceParseError) as exc:
+        AccuracyCurve.from_csv_text(bad_curve)
+    assert exc.value.line == 6
+
+    path = tmp_path / "s.csv"
+    path.write_text(
+        "\nchannel,distance_m,rssi_dbm\n\n37,1.0,-40\n\n36,1.0,-40\n", encoding="utf-8"
+    )
+    with pytest.raises(TraceParseError) as exc:
+        read_samples_csv(str(path))
+    assert exc.value.line == 6
+
+    with pytest.raises(TraceParseError) as exc:
+        trace_from_text(GOOD_HEADER + "99,dev,37,\n\n\n100,dev,38\n")
+    assert exc.value.line == 7

@@ -1,12 +1,17 @@
 import math
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blechannel.core import (
+    RADIO_CLOCK,
     AdvSettings,
     Channel,
     Duration,
     ScanSettings,
+    TimeInstant,
     app_instant,
     preset_settings,
     radio_instant,
@@ -14,6 +19,7 @@ from blechannel.core import (
 from blechannel.errors import ClockMismatchError, ConfigError
 from blechannel.ranging import RadioLink, friis_rx_power
 from blechannel.simkit import (
+    BEHAVIOR_TAGS,
     INTER_BEACON_GAP,
     AltInterval,
     BalancedOffset,
@@ -230,6 +236,53 @@ def test_gen_scan_windows_splits_epochs_at_restarts():
     assert 10_000_000_000 in starts
     restarted = windows[starts.index(10_000_000_000)]
     assert restarted.channel.id == 37
+
+
+SCAN_PRESETS = (
+    "SCAN_MODE_LOW_POWER",
+    "SCAN_MODE_BALANCED",
+    "SCAN_MODE_LOW_LATENCY",
+    "SCAN_MODE_LOW_LATENCY_OLD_API",
+)
+
+
+@st.composite
+def scan_schedules(draw):
+    """(restarts_ns, end_ns): 1 to 8 epochs over up to two minutes."""
+    end_ns = draw(st.integers(min_value=2, max_value=120_000_000_000))
+    later = draw(st.lists(st.integers(min_value=1, max_value=end_ns - 1), max_size=7))
+    return sorted({0, *later}), end_ns
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tag=st.sampled_from(sorted(BEHAVIOR_TAGS)),
+    preset=st.sampled_from(SCAN_PRESETS),
+    schedule=scan_schedules(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_window_layouts_keep_their_invariants(tag, preset, schedule, seed):
+    restarts, end_ns = schedule
+    windows = gen_scan_windows(
+        behavior_from_tag(tag),
+        preset_settings(preset),
+        [TimeInstant(ns, RADIO_CLOCK) for ns in restarts],
+        TimeInstant(end_ns, RADIO_CLOCK),
+        substream(seed, "scan"),
+    )
+    bounds = restarts + [end_ns]
+    epochs = [bisect_right(restarts, w.start.ns) - 1 for w in windows]
+    # sorted, non-overlapping, and each window inside its own epoch
+    for prev, cur in zip(windows, windows[1:]):
+        assert prev.end.ns <= cur.start.ns
+    for w, e in zip(windows, epochs):
+        assert bounds[e] <= w.start.ns < w.end.ns <= bounds[e + 1]
+    if tag in ("compliant", "alt-interval"):
+        for e in range(len(restarts)):
+            ids = [w.channel.id for w, we in zip(windows, epochs) if we == e]
+            assert ids == [37 + k % 3 for k in range(len(ids))]
+    if tag == "nonstandard-order":
+        assert all(a.channel != b.channel for a, b in zip(windows, windows[1:]))
 
 
 def test_clock_model_validation_and_conversion():
