@@ -9,6 +9,8 @@ scanner implementations, the calibration and ranging maths, and a CLI for
 trace handling and the canned experiments.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     ADVERTISING_CHANNELS,
     APP_CLOCK,
@@ -90,71 +92,9 @@ from .simkit import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADVERTISING_CHANNELS",
-    "APP_CLOCK",
-    "CHANNEL_FREQ_HZ",
-    "RADIO_CLOCK",
-    "AccuracyBucket",
-    "AccuracyCurve",
-    "AdvSettings",
-    "AdvertisingEvent",
-    "AndroidMode",
-    "CalibrationModel",
-    "Channel",
-    "ClassKind",
-    "ClassifiedPacket",
-    "Classification",
-    "ClockMismatchError",
-    "ClockModel",
-    "ConfigError",
-    "DetectorConfig",
-    "DetectorSession",
-    "Duration",
-    "EstimatorComparison",
-    "ExperimentConfig",
-    "FitError",
-    "LossModel",
-    "MatrixResult",
-    "MatrixRow",
-    "NoDataError",
-    "PacketRecord",
-    "RadioLink",
-    "RangingResult",
-    "RangingSample",
-    "RssiModel",
-    "ScanSettings",
-    "ScanWindow",
-    "ScannerBehavior",
-    "SimTrace",
-    "TimeInstant",
-    "TraceFile",
-    "TraceOrderError",
-    "TraceParseError",
-    "attach_rssi",
-    "balanced_average",
-    "behavior_from_tag",
-    "build_accuracy_curve",
-    "calibrate",
-    "channel_frequency",
-    "classify_time",
-    "classify_trace",
-    "compare_estimators",
-    "estimate_distance",
-    "friis_rx_power",
-    "gen_advertising",
-    "gen_scan_windows",
-    "next_channel",
-    "path_loss_db",
-    "preset_settings",
-    "read_trace",
-    "run_accuracy_experiment",
-    "run_compatibility_matrix",
-    "run_ranging_experiment",
-    "session_on_packet",
-    "session_on_tick",
-    "simulate_reception",
-    "simulate_scenario",
-    "substream",
-    "write_trace",
-]
+# Every public name imported above, and nothing else.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -15,9 +15,11 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from . import ranging
 from .core import Duration
-from .detector import ClassKind, DetectorConfig, classify_trace
+from .detector import DetectorConfig, classify_trace
 from .errors import (
     ConfigError,
     FitError,
@@ -80,26 +82,20 @@ def cmd_classify(args) -> int:
     dconf = DetectorConfig(
         scan_settings=trace.scan_settings, guard=Duration.from_seconds(args.guard)
     )
-    classified = classify_trace(trace.packets, list(trace.restarts), dconf)
-    labels = tuple(cp.result.label for cp in classified)
-    n_guard = sum(1 for cp in classified if cp.result.kind is ClassKind.GUARD)
-    n_pre = sum(1 for cp in classified if cp.result.kind is ClassKind.PRE_START)
-    judged = [
-        cp
-        for cp in classified
-        if cp.result.kind is ClassKind.CHANNEL and cp.packet.channel is not None
-    ]
-    n_channel = len(classified) - n_guard - n_pre
+    classified = classify_trace(trace.packets, trace.restarts, dconf)
+    n_channel, n_guard, n_pre = np.bincount(classified.kind, minlength=3).tolist()
+    outcome = classified.outcomes(trace.packets.channel)
+    n_judged = int(np.count_nonzero(outcome >= 0))
     if args.out:
-        write_trace(dataclasses.replace(trace, est_labels=labels), args.out)
+        write_trace(dataclasses.replace(trace, est_labels=classified.labels()), args.out)
         print(f"wrote {args.out}")
     print(
         f"{len(classified)} packets: {n_channel} classified, "
         f"{n_guard} guard, {n_pre} pre-start"
     )
-    if judged:
-        correct = sum(1 for cp in judged if cp.result.channel == cp.packet.channel)
-        print(f"accuracy against ground truth: {correct / len(judged):.4f} ({len(judged)} judged)")
+    if n_judged:
+        correct = int(np.count_nonzero(outcome == 1))
+        print(f"accuracy against ground truth: {correct / n_judged:.4f} ({n_judged} judged)")
     return 0
 
 

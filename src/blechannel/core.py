@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ClockMismatchError, ConfigError
@@ -92,6 +94,32 @@ class TimeInstant:
     def __ge__(self, other: "TimeInstant") -> bool:
         self._check(other)
         return self.ns >= other.ns
+
+
+class ColumnView(Sequence):
+    """Read-only sequence over numpy columns whose items are built on access.
+
+    Hot paths read the columns; item objects exist only for callers that
+    index or iterate.  A view equals any sequence with equal items.
+    """
+
+    __hash__ = None
+
+    def _item(self, i: int):
+        raise NotImplementedError
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(*i.indices(len(self)))]
+        return self._item(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def app_instant(seconds: float) -> TimeInstant:

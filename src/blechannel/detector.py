@@ -14,11 +14,13 @@ however long the scan has been running.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .core import Channel, Duration, ScanSettings, TimeInstant
-from .errors import ConfigError
+import numpy as np
+
+from .core import Channel, ColumnView, Duration, ScanSettings, TimeInstant
+from .errors import ClockMismatchError, ConfigError
 
 DEFAULT_GUARD = Duration.from_seconds(0.2)
 # Android silently downgrades scans that run longer than 30 minutes, so a
@@ -83,6 +85,30 @@ class DetectorConfig:
             raise ConfigError("idle_timeout must be positive")
 
 
+# Kind codes of the columnar kernel, indexing KINDS.
+CHANNEL, GUARD, PRE_START = range(3)
+KINDS = (ClassKind.CHANNEL, ClassKind.GUARD, ClassKind.PRE_START)
+
+
+def _slot_rule(delta, interval, guard):
+    """(slot, rem, in_guard) of an elapsed time >= 0; ints and int arrays alike.
+
+    A packet within half a guard of either slot edge is in the guard zone;
+    doubling both sides keeps odd guards in integers.
+    """
+    slot, rem = divmod(delta, interval)
+    return slot, rem, (2 * rem < guard) | (2 * rem > 2 * interval - guard)
+
+
+def _classification(kind: int, slot: int, rem: int, anchor: TimeInstant, interval: int):
+    if kind == PRE_START:
+        return Classification(kind=ClassKind.PRE_START)
+    start = TimeInstant(anchor.ns + slot * interval, anchor.clock)
+    end = TimeInstant(start.ns + interval, anchor.clock)
+    channel = Channel.of(37 + slot % 3) if kind == CHANNEL else None
+    return Classification(KINDS[kind], channel, slot, start, end, Duration(rem))
+
+
 def classify_time(
     recv: TimeInstant, anchor: TimeInstant, config: DetectorConfig
 ) -> Classification:
@@ -93,30 +119,38 @@ def classify_time(
     a guard length of either edge of its slot.
     """
     delta = (recv - anchor).ns
-    if delta < 0:
-        return Classification(kind=ClassKind.PRE_START)
     interval = config.scan_settings.scan_interval.ns
-    slot, rem = divmod(delta, interval)
-    start = TimeInstant(anchor.ns + slot * interval, anchor.clock)
-    end = TimeInstant(anchor.ns + (slot + 1) * interval, anchor.clock)
-    # Doubling both sides keeps the comparison in integers for odd guards.
-    guard = config.guard.ns
-    if 2 * rem < guard or 2 * rem > 2 * interval - guard:
-        return Classification(
-            kind=ClassKind.GUARD,
-            slot_index=slot,
-            slot_start=start,
-            slot_end=end,
-            offset_in_slot=Duration(rem),
-        )
-    return Classification(
-        kind=ClassKind.CHANNEL,
-        channel=Channel.of(37 + slot % 3),
-        slot_index=slot,
-        slot_start=start,
-        slot_end=end,
-        offset_in_slot=Duration(rem),
-    )
+    if delta < 0:
+        return _classification(PRE_START, 0, 0, anchor, interval)
+    slot, rem, guarded = _slot_rule(delta, interval, config.guard.ns)
+    return _classification(GUARD if guarded else CHANNEL, slot, rem, anchor, interval)
+
+
+def _anchor_index(recv_ns: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Latest sorted restart at or before each arrival, else the first."""
+    return np.maximum(np.searchsorted(starts, recv_ns, side="right") - 1, 0)
+
+
+def classify_ns(recv_ns, restart_ns, interval_ns: int, guard_ns: int):
+    """The columnar classifier: ``(kind, slot, rem)`` int64 arrays.
+
+    Each arrival (int64 ns, any order) is measured from the latest restart
+    at or before it; ``kind`` holds KINDS codes, and a CHANNEL packet's
+    channel is ``37 + slot % 3``.  Pre-start rows have slot and rem 0.
+    Elapsed times are taken in uint64, so any two int64 instants are exact.
+    Needs ``interval_ns >= 2`` (slots then fit int64) and
+    ``0 <= guard_ns < interval_ns``.
+    """
+    recv = np.asarray(recv_ns, dtype=np.int64)
+    starts = np.sort(np.asarray(restart_ns, dtype=np.int64))
+    if not starts.size:
+        raise ConfigError("need at least one scan start to classify against")
+    anchor = starts[_anchor_index(recv, starts)]
+    pre = recv < anchor
+    delta = recv.view(np.uint64) - anchor.view(np.uint64)
+    slot, rem, guarded = _slot_rule(delta, np.uint64(interval_ns), np.uint64(guard_ns))
+    kind = np.where(pre, PRE_START, np.where(guarded, GUARD, CHANNEL))
+    return kind, np.where(pre, 0, slot.astype(np.int64)), np.where(pre, 0, rem.astype(np.int64))
 
 
 class SessionMode(enum.Enum):
@@ -198,24 +232,64 @@ class ClassifiedPacket:
     anchor: TimeInstant
 
 
-def classify_trace(packets, restarts, config: DetectorConfig) -> list[ClassifiedPacket]:
+_LABELS = np.array(["37", "38", "39", "guard", "pre-start"], dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class ClassifiedPackets(ColumnView):
+    """:func:`classify_trace`'s kernel columns; items are :class:`ClassifiedPacket`.
+
+    ``anchor`` indexes the sorted ``restarts``.
+    """
+
+    packets: Sequence
+    restarts: tuple[TimeInstant, ...]
+    interval_ns: int
+    kind: np.ndarray
+    slot: np.ndarray
+    rem: np.ndarray
+    anchor: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def _item(self, i: int) -> ClassifiedPacket:
+        anchor = self.restarts[self.anchor[i]]
+        kind, slot, rem = int(self.kind[i]), int(self.slot[i]), int(self.rem[i])
+        result = _classification(kind, slot, rem, anchor, self.interval_ns)
+        return ClassifiedPacket(self.packets[i], result, anchor)
+
+    def labels(self) -> tuple[str, ...]:
+        """Each packet's :attr:`Classification.label`."""
+        return tuple(_LABELS[np.where(self.kind == CHANNEL, self.slot % 3, self.kind + 2)])
+
+    def outcomes(self, true_channel: np.ndarray) -> np.ndarray:
+        """1 where the channel matches ``true_channel`` (ids, 0 unknown), 0
+        where it does not, -1 for guard, pre-start and unknown truth."""
+        judged = (self.kind == CHANNEL) & (true_channel != 0)
+        return np.where(judged, 37 + self.slot % 3 == true_channel, -1)
+
+
+def classify_trace(packets, restarts, config: DetectorConfig) -> ClassifiedPackets:
     """Classify a whole capture against a known restart schedule.
 
     ``restarts`` are the scan-start instants the app recorded, on the same
     clock as the packet timestamps.  Each packet is classified against the
     latest restart at or before it; packets older than every restart come
-    back as pre-start.  ``packets`` only need a ``recv`` instant attribute,
-    so both simulated and file-loaded records work.
+    back as pre-start.  ``packets`` is a column view with ``recv_ns`` and
+    ``clock``, or any records with a ``recv`` instant, in any order.
     """
-    restarts = sorted(restarts, key=lambda r: r.ns)
+    restarts = tuple(sorted(restarts, key=lambda r: r.ns))
     if not restarts:
         raise ConfigError("need at least one scan start to classify against")
-    starts_ns = [r.ns for r in restarts]
-    out = []
-    for p in packets:
-        # Latest restart at or before the packet; packets may arrive in any
-        # order here even though trace files keep them sorted.
-        ri = max(bisect_right(starts_ns, p.recv.ns) - 1, 0)
-        anchor = restarts[ri]
-        out.append(ClassifiedPacket(p, classify_time(p.recv, anchor, config), anchor))
-    return out
+    recv = getattr(packets, "recv_ns", None)
+    clocks = {packets.clock} if recv is not None else {p.recv.clock for p in packets}
+    if clocks | {r.clock for r in restarts} != {restarts[0].clock}:
+        raise ClockMismatchError("packets and restarts must share one clock")
+    if recv is None:
+        recv = np.array([p.recv.ns for p in packets], dtype=np.int64)
+    starts = np.array([r.ns for r in restarts], dtype=np.int64)
+    interval = config.scan_settings.scan_interval.ns
+    kind, slot, rem = classify_ns(recv, starts, interval, config.guard.ns)
+    anchor = _anchor_index(recv, starts)
+    return ClassifiedPackets(packets, restarts, interval, kind, slot, rem, anchor)

@@ -16,10 +16,17 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from collections.abc import Sequence
+from itertools import repeat
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
+
+import numpy as np
 
 from .core import (
     APP_CLOCK,
+    CHANNEL_FREQ_HZ,
+    NS_PER_S,
     RADIO_CLOCK,
     AdvSettings,
     Channel,
@@ -28,13 +35,16 @@ from .core import (
     TimeInstant,
     preset_settings,
 )
-from .detector import ClassKind, DetectorConfig, classify_trace
+from .detector import DetectorConfig, classify_trace
 from .errors import ConfigError, NoDataError, TraceOrderError, TraceParseError
 from .ranging import EstimatorComparison, RangingSample, compare_estimators
 from .simkit import (
+    BEHAVIOR_TAGS,
+    AdvertisingEvents,
     ClockModel,
     LossModel,
     PacketRecord,
+    Packets,
     RssiModel,
     ScannerBehavior,
     SimTrace,
@@ -55,6 +65,7 @@ CURVE_COLUMNS = "bucket_start_s,bucket_end_s,n_classified,n_correct,n_unclassifi
 SAMPLES_COLUMNS = "channel,distance_m,rssi_dbm"
 
 _DEVICE_ID = re.compile(r"[A-Za-z0-9._:-]+")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +77,7 @@ class TraceFile:
     behavior_tag: str
     seed: int
     restarts_ns: tuple[int, ...] = (0,)
-    packets: tuple[PacketRecord, ...] = ()
+    packets: Sequence[PacketRecord] = ()
     est_labels: tuple[str, ...] | None = None
 
     @property
@@ -102,21 +113,21 @@ def trace_to_text(trace: TraceFile | SimTrace) -> str:
     ]
     if trace.restarts_ns != (0,):
         lines.append("# restarts_ns=" + ",".join(str(ns) for ns in trace.restarts_ns))
+    packets = Packets.of(trace.packets)
     est = trace.est_labels
-    if est is not None and len(est) != len(trace.packets):
+    if est is not None and len(est) != len(packets):
         raise ConfigError("one est_channel label per packet required")
     lines.append(TRACE_COLUMNS + ("," + EST_COLUMN if est is not None else ""))
-    for i, p in enumerate(trace.packets):
-        if not _DEVICE_ID.fullmatch(p.device_id):
-            raise ConfigError(f"device id not writable to CSV: {p.device_id!r}")
-        row = (
-            f"{p.recv.ns},{p.device_id},"
-            f"{p.channel.id if p.channel is not None else ''},"
-            f"{'' if p.rssi_dbm is None else format(p.rssi_dbm, '.6f')}"
-        )
-        if est is not None:
-            row += f",{est[i]}"
-        lines.append(row)
+    for device_id in packets.device_ids:
+        if not _DEVICE_ID.fullmatch(device_id):
+            raise ConfigError(f"device id not writable to CSV: {device_id!r}")
+    names, rssi = packets.device_ids, packets.rssi_dbm or repeat(None)
+    labels = repeat("") if est is None else ("," + e for e in est)
+    columns = zip(packets.recv_ns.tolist(), packets.device.tolist(), packets.channel.tolist())
+    lines += (
+        f"{ns},{names[d]},{c or ''},{'' if r is None else format(r, '.6f')}{e}"
+        for (ns, d, c), r, e in zip(columns, rssi, labels)
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -180,8 +191,9 @@ def trace_from_text(text: str) -> TraceFile:
 
     restarts = (0,)
     i = 2
-    while i < len(lines) and lines[i].startswith("#"):
-        extra = _parse_meta_tokens(lines[i], i + 1)
+    # Metadata comments and blank lines may precede the column header.
+    while i < len(lines) and (lines[i].startswith("#") or not lines[i].strip()):
+        extra = _parse_meta_tokens(lines[i], i + 1) if lines[i].startswith("#") else {}
         if "restarts_ns" in extra:
             try:
                 restarts = tuple(int(v) for v in extra["restarts_ns"].split(","))
@@ -191,6 +203,8 @@ def trace_from_text(text: str) -> TraceFile:
                 raise TraceParseError(
                     "restarts_ns must be non-empty and strictly increasing", line=i + 1
                 )
+            if not _INT64_MIN <= restarts[0] <= restarts[-1] <= _INT64_MAX:
+                raise TraceParseError("restarts_ns out of the int64 range", line=i + 1)
         i += 1
 
     if i >= len(lines):
@@ -203,51 +217,53 @@ def trace_from_text(text: str) -> TraceFile:
     else:
         raise TraceParseError(f"unexpected columns {header!r}", line=i + 1)
 
-    packets = []
-    est: list[str] = []
-    prev_ns = None
+    recv, device, channel, rssi, est = [], [], [], [], []
+    device_ids: dict[str, int] = {}
     for lineno, parts in _csv_rows(lines, i + 1, 5 if has_est else 4):
         try:
             recv_ns = int(parts[0])
         except ValueError as exc:
             raise TraceParseError("recv_time_ns must be an integer", line=lineno) from exc
-        if prev_ns is not None and recv_ns < prev_ns:
+        if not _INT64_MIN <= recv_ns <= _INT64_MAX:
+            raise TraceParseError("recv_time_ns out of the int64 range", line=lineno)
+        if recv and recv_ns < recv[-1]:
             raise TraceOrderError(f"line {lineno}: timestamps moved backwards")
-        prev_ns = recv_ns
-        device = parts[1]
-        if not _DEVICE_ID.fullmatch(device):
-            raise TraceParseError(f"bad device id {device!r}", line=lineno)
-        channel = None
-        if parts[2]:
-            try:
-                channel = Channel.of(int(parts[2]))
-            except (ValueError, ConfigError) as exc:
-                raise TraceParseError(f"bad true_channel {parts[2]!r}", line=lineno) from exc
-        rssi = None
-        if parts[3]:
-            try:
-                rssi = float(parts[3])
-            except ValueError as exc:
-                raise TraceParseError(f"bad rssi_dbm {parts[3]!r}", line=lineno) from exc
+        recv.append(recv_ns)
+        if parts[1] not in device_ids:
+            if not _DEVICE_ID.fullmatch(parts[1]):
+                raise TraceParseError(f"bad device id {parts[1]!r}", line=lineno)
+            device_ids[parts[1]] = len(device_ids)
+        device.append(device_ids[parts[1]])
+        try:
+            ch = int(parts[2]) if parts[2] else 0
+        except ValueError:
+            ch = -1
+        if parts[2] and ch not in CHANNEL_FREQ_HZ:
+            raise TraceParseError(f"bad true_channel {parts[2]!r}", line=lineno)
+        channel.append(ch)
+        try:
+            rssi.append(float(parts[3]) if parts[3] else None)
+        except ValueError as exc:
+            raise TraceParseError(f"bad rssi_dbm {parts[3]!r}", line=lineno) from exc
         if has_est:
             if parts[4] not in EST_LABELS:
                 raise TraceParseError(f"bad est_channel {parts[4]!r}", line=lineno)
             est.append(parts[4])
-        packets.append(
-            PacketRecord(
-                recv=TimeInstant(recv_ns, APP_CLOCK),
-                device_id=device,
-                channel=channel,
-                rssi_dbm=rssi,
-            )
-        )
+    packets = Packets(
+        recv_ns=np.array(recv, np.int64),
+        device=np.array(device, np.intp),
+        device_ids=tuple(device_ids),
+        channel=np.array(channel, np.int64),
+        window_index=np.full(len(recv), -1, np.int64),
+        rssi_dbm=rssi,
+    )
     return TraceFile(
         scan_interval_ns=scan_interval_ns,
         scan_window_ns=scan_window_ns,
         behavior_tag=behavior,
         seed=seed,
         restarts_ns=restarts,
-        packets=tuple(packets),
+        packets=packets,
         est_labels=tuple(est) if has_est else None,
     )
 
@@ -257,19 +273,29 @@ def read_trace(path: str) -> TraceFile:
         return trace_from_text(f.read())
 
 
-@dataclass(frozen=True, slots=True)
-class AccuracyBucket:
-    start_s: float
-    end_s: float
-    n_classified: int = 0
-    n_correct: int = 0
-    n_unclassified: int = 0
+class _Counted:
+    """Shared by rows of classification counts."""
+
+    __slots__ = ()
 
     @property
     def accuracy(self) -> float | None:
         if self.n_classified == 0:
             return None
         return self.n_correct / self.n_classified
+
+    @property
+    def counts(self) -> tuple[int, int, int]:
+        return self.n_classified, self.n_correct, self.n_unclassified
+
+
+@dataclass(frozen=True, slots=True)
+class AccuracyBucket(_Counted):
+    start_s: float
+    end_s: float
+    n_classified: int = 0
+    n_correct: int = 0
+    n_unclassified: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,13 +308,8 @@ class AccuracyCurve:
     def totals(self) -> AccuracyBucket:
         if not self.buckets:
             raise NoDataError("empty accuracy curve")
-        return AccuracyBucket(
-            start_s=self.buckets[0].start_s,
-            end_s=self.buckets[-1].end_s,
-            n_classified=sum(b.n_classified for b in self.buckets),
-            n_correct=sum(b.n_correct for b in self.buckets),
-            n_unclassified=sum(b.n_unclassified for b in self.buckets),
-        )
+        pooled = map(sum, zip(*(b.counts for b in self.buckets)))
+        return AccuracyBucket(self.buckets[0].start_s, self.buckets[-1].end_s, *pooled)
 
     def first_imperfect_bucket(self) -> AccuracyBucket | None:
         """Earliest bucket that classified something and got any of it wrong."""
@@ -306,17 +327,10 @@ class AccuracyCurve:
         for c in curves[1:]:
             if [(b.start_s, b.end_s) for b in c.buckets] != edges:
                 raise ConfigError("cannot merge curves with different bucket edges")
-        merged = []
-        for i, (start, end) in enumerate(edges):
-            merged.append(
-                AccuracyBucket(
-                    start_s=start,
-                    end_s=end,
-                    n_classified=sum(c.buckets[i].n_classified for c in curves),
-                    n_correct=sum(c.buckets[i].n_correct for c in curves),
-                    n_unclassified=sum(c.buckets[i].n_unclassified for c in curves),
-                )
-            )
+        merged = (
+            AccuracyBucket(start, end, *map(sum, zip(*(c.buckets[i].counts for c in curves))))
+            for i, (start, end) in enumerate(edges)
+        )
         return AccuracyCurve(buckets=tuple(merged))
 
     def to_csv_text(self) -> str:
@@ -357,50 +371,70 @@ class AccuracyCurve:
             return cls.from_csv_text(f.read())
 
 
-def build_accuracy_curve(samples, bucket_s: float, horizon_s: float) -> AccuracyCurve:
-    """Bucket (elapsed_seconds, outcome) samples.
+# Upper bounds on what one config may ask for, so that a typo gives a
+# ConfigError instead of exhausting memory or time.
+MAX_BUCKETS = 100_000
+MAX_RESTARTS = 100_000
+# Times are int64 ns, and ClockModel.to_app_ns is exact below 2**53 ns
+# (about 104 days); every simulated instant must stay below that.
+MAX_TIME_NS = 2**53
 
-    ``outcome`` is True for a correct channel, False for a wrong one and
-    None for unclassified (guard, pre-start or missing ground truth).
-    Samples outside [0, horizon) are dropped.
-    """
+
+def _bucket_count(bucket_s: float, horizon_s: float) -> int:
     if bucket_s <= 0 or horizon_s <= 0:
         raise ConfigError("bucket_s and horizon_s must be positive")
-    n = math.ceil(horizon_s / bucket_s)
-    classified = [0] * n
-    correct = [0] * n
-    unclassified = [0] * n
-    for elapsed, outcome in samples:
-        if not 0 <= elapsed < horizon_s:
-            continue
-        idx = min(int(elapsed / bucket_s), n - 1)
-        if outcome is None:
-            unclassified[idx] += 1
-        else:
-            classified[idx] += 1
-            if outcome:
-                correct[idx] += 1
+    n = horizon_s / bucket_s
+    if not n <= MAX_BUCKETS:
+        raise ConfigError(f"bucket_s gives more than {MAX_BUCKETS} buckets")
+    return math.ceil(n)
+
+
+class Samples(NamedTuple):
+    """Curve input as columns: elapsed seconds since the anchor and an
+    outcome per packet, 1 for a correct channel, 0 for a wrong one and -1
+    for unclassified (guard, pre-start or missing ground truth)."""
+
+    elapsed_s: np.ndarray
+    outcome: np.ndarray
+
+
+def _tally(outcome: np.ndarray, idx: np.ndarray, n: int):
+    """(classified, correct, unclassified) counts per bucket index."""
+    counts = np.bincount(3 * idx + outcome + 1, minlength=3 * n).reshape(n, 3)
+    return counts[:, 1] + counts[:, 2], counts[:, 2], counts[:, 0]
+
+
+def build_accuracy_curve(samples, bucket_s: float, horizon_s: float) -> AccuracyCurve:
+    """Bucket :class:`Samples`, or (elapsed_seconds, outcome) pairs.
+
+    A pair's ``outcome`` is True for a correct channel, False for a wrong
+    one and None for unclassified.  Samples outside [0, horizon) are
+    dropped.
+    """
+    n = _bucket_count(bucket_s, horizon_s)
+    if not isinstance(samples, Samples):
+        pairs = list(samples)
+        samples = Samples(
+            np.array([e for e, _ in pairs], np.float64),
+            np.array([-1 if o is None else int(bool(o)) for _, o in pairs], np.int64),
+        )
+    keep = (samples.elapsed_s >= 0) & (samples.elapsed_s < horizon_s)
+    idx = np.minimum((samples.elapsed_s[keep] / bucket_s).astype(np.int64), n - 1)
+    classified, correct, unclassified = _tally(samples.outcome[keep], idx, n)
     buckets = tuple(
         AccuracyBucket(
             start_s=i * bucket_s,
             end_s=min((i + 1) * bucket_s, horizon_s),
-            n_classified=classified[i],
-            n_correct=correct[i],
-            n_unclassified=unclassified[i],
+            n_classified=int(classified[i]),
+            n_correct=int(correct[i]),
+            n_unclassified=int(unclassified[i]),
         )
         for i in range(n)
     )
     return AccuracyCurve(buckets=buckets)
 
 
-MATRIX_BEHAVIORS = (
-    "compliant",
-    "balanced-offset",
-    "alt-interval",
-    "rapid-toggle",
-    "nonstandard-order",
-    "continue-channel",
-)
+MATRIX_BEHAVIORS = tuple(BEHAVIOR_TAGS)
 
 
 @dataclass
@@ -446,6 +480,35 @@ class ExperimentConfig:
             return tuple(Channel.of(i) for i in ids)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"bad adv_channels {self.adv_channels!r}: {exc}") from exc
+
+    def validate(self) -> "ExperimentConfig":
+        """Raise ConfigError unless the experiments can run on this config.
+
+        Checks signs and counts, and that the bucket and restart counts and
+        the simulated instants stay within ``MAX_BUCKETS``,
+        ``MAX_RESTARTS`` and ``MAX_TIME_NS``.  Returns the config.
+        """
+        if self.n_advertisers < 0:
+            raise ConfigError("n_advertisers must be non-negative")
+        if self.n_seeds <= 0:
+            raise ConfigError("n_seeds must be positive")
+        duration_ns = Duration.from_seconds(self.duration_s).ns
+        if duration_ns <= 0:
+            raise ConfigError("duration_s must be positive")
+        self.clock_model()
+        app_end = duration_ns / (1.0 + self.drift_rate) + self.jitter_max_s * NS_PER_S
+        if not (duration_ns < MAX_TIME_NS and app_end < MAX_TIME_NS):
+            raise ConfigError("simulated instants must stay below 2**53 ns (about 104 days)")
+        _bucket_count(self.bucket_s, self.duration_s)
+        step_ns = Duration.from_seconds(self.restart_every_s).ns
+        if self.restart_every_s > 0 and step_ns * MAX_RESTARTS < duration_ns:
+            raise ConfigError(f"restart_every_s gives more than {MAX_RESTARTS} restarts")
+        return self
+
+    def clock_model(self) -> ClockModel:
+        return ClockModel(
+            drift_rate=self.drift_rate, jitter_range=(self.jitter_min_s, self.jitter_max_s)
+        )
 
     def rssi_model(self) -> RssiModel:
         return RssiModel(
@@ -532,12 +595,11 @@ def scenario_behavior(cfg: ExperimentConfig) -> ScannerBehavior:
 
 def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False) -> SimTrace:
     """One full simulated capture for the configured scenario."""
+    cfg.validate()
     scan = _preset(cfg.scan_mode, ScanSettings, "a scan mode")
     adv = _preset(cfg.adv_mode, AdvSettings, "an advertise mode")
     behavior = scenario_behavior(cfg)
     duration = Duration.from_seconds(cfg.duration_s)
-    if duration.ns <= 0:
-        raise ConfigError("duration_s must be positive")
     end = TimeInstant(duration.ns, RADIO_CLOCK)
     restarts = _restart_schedule(cfg, duration)
     windows = gen_scan_windows(behavior, scan, restarts, end, substream(seed, "scan"))
@@ -548,17 +610,17 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
         rng = substream(seed, f"adv:{d}")
         # Stagger phases so devices do not transmit in lockstep.
         offset = rng.randrange(adv.base_interval.ns + adv.rho_max.ns + 1)
-        events.extend(
+        events.append(
             gen_advertising(
                 adv, f"dev{d:02d}", TimeInstant(offset, RADIO_CLOCK), end, rng, channels
             )
         )
 
-    clock = ClockModel(
-        drift_rate=cfg.drift_rate, jitter_range=(cfg.jitter_min_s, cfg.jitter_max_s)
-    )
+    clock = cfg.clock_model()
     loss = LossModel(drop_prob=cfg.loss_prob)
-    packets = simulate_reception(events, windows, restarts, clock, loss, substream(seed, "rx"))
+    packets = simulate_reception(
+        AdvertisingEvents.of(events), windows, restarts, clock, loss, substream(seed, "rx")
+    )
     if with_rssi:
         model = cfg.rssi_model()
         rng = substream(seed, "rssi")
@@ -573,7 +635,7 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
         behavior_tag=behavior.tag,
         seed=seed,
         restarts=tuple(app_anchor_times(restarts, clock)),
-        packets=tuple(packets),
+        packets=packets,
     )
 
 
@@ -588,22 +650,19 @@ def detector_config(cfg: ExperimentConfig, behavior: ScannerBehavior) -> Detecto
     )
 
 
-def classification_samples(trace: SimTrace | TraceFile, dconf: DetectorConfig):
-    """(elapsed_s, outcome) pairs for curve building; see build_accuracy_curve."""
-    out = []
-    for cp in classify_trace(trace.packets, list(trace.restarts), dconf):
-        elapsed = (cp.packet.recv - cp.anchor).seconds
-        if cp.result.kind is ClassKind.CHANNEL and cp.packet.channel is not None:
-            out.append((elapsed, cp.result.channel == cp.packet.channel))
-        else:
-            out.append((elapsed, None))
-    return out
+def classification_samples(trace: SimTrace | TraceFile, dconf: DetectorConfig) -> Samples:
+    """Every packet's elapsed time and outcome; see :class:`Samples`."""
+    packets = Packets.of(trace.packets)
+    classified = classify_trace(packets, trace.restarts, dconf)
+    anchor_ns = np.array([r.ns for r in classified.restarts], np.int64)[classified.anchor]
+    return Samples(
+        (packets.recv_ns - anchor_ns) / NS_PER_S, classified.outcomes(packets.channel)
+    )
 
 
 def run_accuracy_experiment(cfg: ExperimentConfig) -> AccuracyCurve:
     """Accuracy over elapsed scan time, pooled over ``n_seeds`` replicas."""
-    if cfg.n_seeds <= 0:
-        raise ConfigError("n_seeds must be positive")
+    cfg.validate()
     behavior = scenario_behavior(cfg)
     dconf = detector_config(cfg, behavior)
     curves = []
@@ -615,18 +674,12 @@ def run_accuracy_experiment(cfg: ExperimentConfig) -> AccuracyCurve:
 
 
 @dataclass(frozen=True, slots=True)
-class MatrixRow:
+class MatrixRow(_Counted):
     behavior: str
     detector_interval_s: float
     n_classified: int
     n_correct: int
     n_unclassified: int
-
-    @property
-    def accuracy(self) -> float | None:
-        if self.n_classified == 0:
-            return None
-        return self.n_correct / self.n_classified
 
 
 @dataclass(frozen=True, slots=True)
@@ -673,29 +726,21 @@ def run_compatibility_matrix(cfg: ExperimentConfig) -> MatrixResult:
     question each row answers is whether arrival times then identify the
     channel at all.
     """
+    cfg.validate()
     rows = []
     for tag in MATRIX_BEHAVIORS:
         scen = dataclasses.replace(cfg, behavior=tag)
         behavior = scenario_behavior(scen)
         dconf = detector_config(scen, behavior)
-        n_classified = n_correct = n_unclassified = 0
-        for i in range(cfg.n_seeds):
-            trace = simulate_scenario(scen, cfg.seed + i)
-            for elapsed, outcome in classification_samples(trace, dconf):
-                if outcome is None:
-                    n_unclassified += 1
-                else:
-                    n_classified += 1
-                    n_correct += outcome
-        rows.append(
-            MatrixRow(
-                behavior=tag,
-                detector_interval_s=dconf.scan_settings.scan_interval.seconds,
-                n_classified=n_classified,
-                n_correct=n_correct,
-                n_unclassified=n_unclassified,
-            )
+        # Every packet counts, whatever its elapsed time.
+        outcome = np.concatenate(
+            [
+                classification_samples(simulate_scenario(scen, cfg.seed + i), dconf).outcome
+                for i in range(cfg.n_seeds)
+            ]
         )
+        counts = (int(c[0]) for c in _tally(outcome, np.zeros_like(outcome), 1))
+        rows.append(MatrixRow(tag, dconf.scan_settings.scan_interval.seconds, *counts))
     return MatrixResult(rows=tuple(rows))
 
 
@@ -740,6 +785,7 @@ def gen_ranging_samples(cfg: ExperimentConfig, n: int, rng) -> list[RangingSampl
 
 
 def run_ranging_experiment(cfg: ExperimentConfig) -> RangingResult:
+    cfg.validate()
     rng = substream(cfg.seed, "ranging")
     train = gen_ranging_samples(cfg, cfg.n_train, rng)
     test = gen_ranging_samples(cfg, cfg.n_test, rng)

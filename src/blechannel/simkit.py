@@ -13,8 +13,9 @@ the scanner, one for reception) without manual seed bookkeeping.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import ranging
 from .core import (
@@ -25,6 +26,7 @@ from .core import (
     RADIO_CLOCK,
     AdvSettings,
     Channel,
+    ColumnView,
     Duration,
     ScanSettings,
     TimeInstant,
@@ -68,6 +70,61 @@ class AdvertisingEvent:
             yield TimeInstant(self.start.ns + i * INTER_BEACON_GAP.ns, self.start.clock), ch
 
 
+@dataclass(frozen=True, eq=False)
+class AdvertisingEvents(ColumnView):
+    """Advertising events as columns; items are :class:`AdvertisingEvent`.
+
+    ``start_ns`` holds radio-clock start instants and ``source`` indexes
+    the ``(device_id, channels)`` pairs in ``sources``.
+    """
+
+    start_ns: np.ndarray
+    source: np.ndarray
+    sources: tuple[tuple[str, tuple[Channel, ...]], ...]
+
+    def __len__(self) -> int:
+        return len(self.start_ns)
+
+    def _item(self, i: int) -> AdvertisingEvent:
+        start = TimeInstant(int(self.start_ns[i]), RADIO_CLOCK)
+        return AdvertisingEvent(start, *self.sources[self.source[i]])
+
+    @classmethod
+    def of(cls, events) -> "AdvertisingEvents":
+        """A view of ``events``: a view, or a sequence of events or views."""
+        if isinstance(events, cls):
+            return events
+        parts = []
+        for ev in events:
+            if not isinstance(ev, cls):
+                if ev.start.clock != RADIO_CLOCK:
+                    raise ClockMismatchError("advertising events are radio-clocked")
+                source = ((ev.device_id, ev.channels),)
+                ev = cls(np.array([ev.start.ns], np.int64), np.zeros(1, np.intp), source)
+            parts.append(ev)
+        offsets = np.cumsum([0] + [len(p.sources) for p in parts])
+        return cls(
+            np.concatenate([np.zeros(0, np.int64)] + [p.start_ns for p in parts]),
+            np.concatenate([np.zeros(0, np.intp)] + [p.source + o for p, o in zip(parts, offsets)]),
+            tuple(src for p in parts for src in p.sources),
+        )
+
+    def beacons(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(transmit ns, channel id, source) of every beacon.
+
+        Beacons come in event order and, within an event, in channel order,
+        ``INTER_BEACON_GAP`` apart, as :meth:`AdvertisingEvent.beacons` has them.
+        """
+        widths = np.array([len(chs) for _, chs in self.sources], np.intp)
+        ids = np.zeros((len(widths), max(widths, default=0)), np.int64)
+        for s, (_, chs) in enumerate(self.sources):
+            ids[s, : len(chs)] = [c.id for c in chs]
+        n = widths[self.source]
+        src = np.repeat(self.source, n)
+        k = np.arange(len(src)) - np.repeat(np.cumsum(n) - n, n)
+        return np.repeat(self.start_ns, n) + INTER_BEACON_GAP.ns * k, ids[src, k], src
+
+
 @dataclass(frozen=True, slots=True)
 class ScanWindow:
     """Half-open interval [start, end) during which one channel is scanned."""
@@ -88,23 +145,24 @@ def gen_advertising(
     end: TimeInstant,
     rng: random.Random,
     channels: tuple[Channel, ...] = _ALL_CHANNELS,
-) -> list[AdvertisingEvent]:
+) -> AdvertisingEvents:
     """Advertising events from ``start`` up to and including ``end``.
 
     Consecutive events are separated by the base interval plus an integer
-    nanosecond count drawn uniformly from [0, rho_max].
+    nanosecond count drawn uniformly from [0, rho_max], one
+    ``rng.randrange`` draw after each event.
     """
     if start.clock != RADIO_CLOCK or end.clock != RADIO_CLOCK:
         raise ClockMismatchError("advertising runs on the radio clock")
     if not channels:
         raise ConfigError("an advertiser needs at least one channel")
-    events = []
-    t = start
-    rho_span = settings.rho_max.ns
-    while t.ns <= end.ns:
-        events.append(AdvertisingEvent(t, device_id, channels))
-        t = t + settings.base_interval + Duration(rng.randrange(rho_span + 1))
-    return events
+    starts, t = [], start.ns
+    base, draw, span = settings.base_interval.ns, rng.randrange, settings.rho_max.ns + 1
+    while t <= end.ns:
+        starts.append(t)
+        t += base + draw(span)
+    source = np.zeros(len(starts), np.intp)
+    return AdvertisingEvents(np.array(starts, np.int64), source, ((device_id, channels),))
 
 
 class ScannerBehavior:
@@ -314,12 +372,7 @@ class ContinueChannel(ScannerBehavior):
 BEHAVIOR_TAGS = {
     cls.tag: cls
     for cls in (
-        Compliant,
-        BalancedOffset,
-        AltInterval,
-        RapidToggle,
-        NonStandardOrder,
-        ContinueChannel,
+        Compliant, BalancedOffset, AltInterval, RapidToggle, NonStandardOrder, ContinueChannel
     )
 }
 
@@ -384,14 +437,21 @@ class ClockModel:
     jitter_range: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if 1.0 + self.drift_rate <= 0.0:
+        if not 1.0 + self.drift_rate > 0.0:
             raise ConfigError("drift_rate must exceed -1")
         lo, hi = self.jitter_range
         if not 0.0 <= lo <= hi:
             raise ConfigError("need 0 <= jitter lower bound <= upper bound")
 
-    def to_app_ns(self, radio_ns: int) -> int:
-        return round(radio_ns / (1.0 + self.drift_rate))
+    def to_app_ns(self, radio_ns):
+        """App-clock reading of radio instants (an int or an int64 array).
+
+        Exact while |radio_ns| < 2**53 ns (about 104 days): up to there an
+        int64 converts to float64 without loss, and ``np.rint`` rounds half
+        to even as ``round`` does.
+        """
+        app = np.rint(np.asarray(radio_ns) / (1.0 + self.drift_rate)).astype(np.int64)
+        return app if app.ndim else int(app)
 
     def draw_jitter(self, rng: random.Random) -> Duration:
         lo, hi = self.jitter_range
@@ -475,6 +535,58 @@ class PacketRecord:
     window_index: int = -1
 
 
+_CHANNEL_OF_ID = {0: None, **{c.id: c for c in _ALL_CHANNELS}}
+
+
+@dataclass(frozen=True, eq=False)
+class Packets(ColumnView):
+    """Received packets as columns; items are :class:`PacketRecord`.
+
+    ``recv_ns`` holds timestamps on ``clock``, ``device`` indexes
+    ``device_ids``, ``channel`` holds channel ids (0 when unknown) and
+    ``rssi_dbm`` is a list of readings, or None when none are attached.
+    """
+
+    recv_ns: np.ndarray
+    device: np.ndarray
+    device_ids: tuple[str, ...]
+    channel: np.ndarray
+    window_index: np.ndarray
+    rssi_dbm: list | None = None
+    clock: str = APP_CLOCK
+
+    def __len__(self) -> int:
+        return len(self.recv_ns)
+
+    def _item(self, i: int) -> PacketRecord:
+        return PacketRecord(
+            recv=TimeInstant(int(self.recv_ns[i]), self.clock),
+            device_id=self.device_ids[self.device[i]],
+            channel=_CHANNEL_OF_ID[int(self.channel[i])],
+            rssi_dbm=None if self.rssi_dbm is None else self.rssi_dbm[i],
+            window_index=int(self.window_index[i]),
+        )
+
+    @classmethod
+    def of(cls, packets) -> "Packets":
+        """Columns of any packet sequence; a view is returned as it is."""
+        if isinstance(packets, cls):
+            return packets
+        clocks = {p.recv.clock for p in packets} or {APP_CLOCK}
+        if len(clocks) > 1:
+            raise ClockMismatchError("packets of one capture must share a clock")
+        ids = {}
+        return cls(
+            recv_ns=np.array([p.recv.ns for p in packets], np.int64),
+            device=np.array([ids.setdefault(p.device_id, len(ids)) for p in packets], np.intp),
+            device_ids=tuple(ids),
+            channel=np.array([p.channel.id if p.channel else 0 for p in packets], np.int64),
+            window_index=np.array([p.window_index for p in packets], np.int64),
+            rssi_dbm=[p.rssi_dbm for p in packets],
+            clock=clocks.pop(),
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class SimTrace:
     """A simulated capture: packets plus what the detector needs to run."""
@@ -483,7 +595,7 @@ class SimTrace:
     behavior_tag: str
     seed: int
     restarts: tuple[TimeInstant, ...]
-    packets: tuple[PacketRecord, ...]
+    packets: Packets
 
 
 def app_anchor_times(restarts: list[TimeInstant], clock: ClockModel) -> list[TimeInstant]:
@@ -492,74 +604,74 @@ def app_anchor_times(restarts: list[TimeInstant], clock: ClockModel) -> list[Tim
     The app reads its own clock when it issues the restart, so no delivery
     latency applies here, unlike packet timestamps.
     """
-    return [TimeInstant(clock.to_app_ns(r.ns), APP_CLOCK) for r in restarts]
+    app = clock.to_app_ns(np.array([r.ns for r in restarts], np.int64))
+    return [TimeInstant(ns, APP_CLOCK) for ns in app.tolist()]
 
 
 def simulate_reception(
-    events: list[AdvertisingEvent],
+    events,
     windows: list[ScanWindow],
     restarts: list[TimeInstant],
     clock: ClockModel,
     loss: LossModel,
     rng: random.Random,
-) -> list[PacketRecord]:
+) -> Packets:
     """Match transmissions against scan windows and timestamp the catches.
 
-    A beacon is received iff some window covers its transmit instant on the
-    matching channel.  Windows must be non-overlapping; all behaviors here
-    produce such layouts.  The result is sorted by app timestamp.
+    ``events`` is an :class:`AdvertisingEvents` view or any sequence of
+    :class:`AdvertisingEvent`.  A beacon is received iff some window covers
+    its transmit instant on the matching channel.  Windows must not
+    overlap (ConfigError otherwise): each beacon is matched against the
+    first window that ends after it, found by binary search over the
+    window ends.  Beacons are taken in transmit order (ties keep event
+    order); one latency is drawn per epoch, then one loss draw per caught
+    beacon when loss is on.  The result is sorted by app timestamp, ties
+    in transmit order.
     """
-    beacons = []
-    for ev in events:
-        if ev.start.clock != RADIO_CLOCK:
-            raise ClockMismatchError("advertising events are radio-clocked")
-        for t, ch in ev.beacons():
-            beacons.append((t.ns, ch, ev.device_id))
-    beacons.sort(key=lambda b: b[0])
+    events = AdvertisingEvents.of(events)
+    t, ch, src = events.beacons()
+    order = np.argsort(t, kind="stable")
+    t, ch, src = t[order], ch[order], src[order]
     windows = sorted(windows, key=lambda w: w.start.ns)
-    restart_ns = [r.ns for r in restarts]
+    bounds = np.array([(w.start.ns, w.end.ns) for w in windows], np.int64).reshape(-1, 2)
+    if np.any(np.diff(bounds.ravel()) < 0):
+        raise ConfigError("scan windows must not overlap")
+    w_channel = np.array([w.channel.id for w in windows], np.int64)
+    wi = np.searchsorted(bounds[:, 1], t, side="right")
+    hit = np.flatnonzero(wi < len(windows))
+    hit = hit[(bounds[wi[hit], 0] <= t[hit]) & (w_channel[wi[hit]] == ch[hit])]
+    restart_ns = np.array([r.ns for r in restarts], np.int64)
     # One latency draw per epoch, before any loss draws, keeps the stream
     # layout stable when loss settings change.
-    jitters = [clock.draw_jitter(rng).ns for _ in restart_ns]
-
-    received = []
-    wi = 0
-    n_windows = len(windows)
-    for t, ch, dev in beacons:
-        while wi < n_windows and windows[wi].end.ns <= t:
-            wi += 1
-        if wi == n_windows:
-            break
-        w = windows[wi]
-        if w.start.ns <= t and w.channel == ch:
-            if loss.drops(rng):
-                continue
-            epoch = bisect_right(restart_ns, t) - 1
-            app_ns = clock.to_app_ns(t) + jitters[epoch]
-            received.append(
-                PacketRecord(
-                    recv=TimeInstant(app_ns, APP_CLOCK),
-                    device_id=dev,
-                    channel=ch,
-                    window_index=wi,
-                )
-            )
-    received.sort(key=lambda p: p.recv.ns)
-    return received
+    jitters = np.array([clock.draw_jitter(rng).ns for _ in restarts], np.int64)
+    if loss.drop_prob > 0.0:
+        hit = hit[~np.array([loss.drops(rng) for _ in hit], bool)]
+    epoch = np.searchsorted(restart_ns, t[hit], side="right") - 1
+    app_ns = clock.to_app_ns(t[hit]) + jitters[epoch]
+    order = np.argsort(app_ns, kind="stable")
+    hit = hit[order]
+    return Packets(
+        recv_ns=app_ns[order],
+        device=src[hit],
+        device_ids=tuple(device_id for device_id, _ in events.sources),
+        channel=ch[hit],
+        window_index=wi[hit],
+    )
 
 
 def attach_rssi(
-    packets: list[PacketRecord],
-    model: RssiModel,
-    distances: dict[str, float],
-    rng: random.Random,
-) -> list[PacketRecord]:
-    """Fill in RSSI readings given each device's distance in metres."""
+    packets, model: RssiModel, distances: dict[str, float], rng: random.Random
+) -> Packets:
+    """Fill in RSSI readings given each device's distance in metres.
+
+    One shadowing draw per packet, in packet order.
+    """
+    packets = Packets.of(packets)
     read = model.reader(rng)
-    out = []
-    for p in packets:
-        d = distances.get(p.device_id)
-        if d is None:
-            raise ConfigError(f"no distance given for device {p.device_id!r}")
-        out.append(replace(p, rssi_dbm=read(p.channel, d)))
-    return out
+    where = [distances.get(d) for d in packets.device_ids]
+    rssi = []
+    for dev, ch in zip(packets.device.tolist(), packets.channel.tolist()):
+        if where[dev] is None:
+            raise ConfigError(f"no distance given for device {packets.device_ids[dev]!r}")
+        rssi.append(read(_CHANNEL_OF_ID[ch], where[dev]))
+    return replace(packets, rssi_dbm=rssi)

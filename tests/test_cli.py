@@ -196,3 +196,41 @@ def test_classify_guard_width_changes_coverage(tmp_path, capsys):
 
     assert guard_count(wide) > guard_count(narrow)
     assert not math.isnan(guard_count(wide))
+
+
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ("n_advertisers = -3", "n_advertisers must be non-negative"),
+        ("n_seeds = 0", "n_seeds must be positive"),
+        ("bucket_s = 1e-12", "more than 100000 buckets"),
+        ("restart_every_s = 1e-9", "more than 100000 restarts"),
+        ("duration_s = 9007199.254740992", "below 2**53 ns"),
+        ("duration_s = 1e8", "below 2**53 ns"),
+        ("drift_rate = -0.9999999999", "below 2**53 ns"),
+    ],
+)
+def test_unrunnable_configs_are_one_line_config_errors(
+    tmp_path, capsys, monkeypatch, setting, message
+):
+    from blechannel import harness
+
+    def no_schedule(*args):
+        raise AssertionError("the restart schedule was built")
+
+    monkeypatch.setattr(harness, "_restart_schedule", no_schedule)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(setting + "\n", encoding="utf-8")
+    assert run(["accuracy", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "accuracy", "matrix", "ranging"])
+def test_every_experiment_command_validates_its_config(tmp_path, capsys, command):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n_seeds = 0\n", encoding="utf-8")
+    out = ["--out", str(tmp_path / "o.csv")] if command in ("simulate", "accuracy") else []
+    assert run([command, "--config", str(cfg), *out]) == 2
+    assert "n_seeds must be positive" in capsys.readouterr().err

@@ -1,0 +1,225 @@
+"""Property tests of the columnar int64 core against plain references.
+
+``reference_reception`` is the per-beacon loop the simulator used before
+it moved to numpy columns; the columnar ``simulate_reception`` must give
+the same packets, in the same order, with the same window indexes, and
+leave the random stream in the same state.  The classifier kernel is
+checked against slot enumeration by integer division.
+"""
+
+from bisect import bisect_right
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blechannel.core import APP_CLOCK, RADIO_CLOCK, AdvSettings, Channel, Duration, TimeInstant
+from blechannel.core import ScanSettings, preset_settings, radio_instant
+from blechannel.detector import (
+    CHANNEL,
+    GUARD,
+    KINDS,
+    PRE_START,
+    DetectorConfig,
+    classify_ns,
+    classify_time,
+    classify_trace,
+)
+from blechannel.errors import ConfigError
+from blechannel.simkit import (
+    BEHAVIOR_TAGS,
+    AdvertisingEvents,
+    ClockModel,
+    LossModel,
+    PacketRecord,
+    ScanWindow,
+    behavior_from_tag,
+    gen_advertising,
+    gen_scan_windows,
+    simulate_reception,
+    substream,
+)
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+def reference_reception(events, windows, restarts, clock, loss, rng):
+    """The per-beacon matching loop, kept as the reference."""
+    beacons = []
+    for ev in events:
+        for t, ch in ev.beacons():
+            beacons.append((t.ns, ch, ev.device_id))
+    beacons.sort(key=lambda b: b[0])
+    windows = sorted(windows, key=lambda w: w.start.ns)
+    restart_ns = [r.ns for r in restarts]
+    jitters = [clock.draw_jitter(rng).ns for _ in restart_ns]
+    received = []
+    wi = 0
+    for t, ch, dev in beacons:
+        while wi < len(windows) and windows[wi].end.ns <= t:
+            wi += 1
+        if wi == len(windows):
+            break
+        w = windows[wi]
+        if w.start.ns <= t and w.channel == ch:
+            if loss.drops(rng):
+                continue
+            epoch = bisect_right(restart_ns, t) - 1
+            app_ns = round(t / (1.0 + clock.drift_rate)) + jitters[epoch]
+            received.append(
+                PacketRecord(TimeInstant(app_ns, APP_CLOCK), dev, ch, window_index=wi)
+            )
+    received.sort(key=lambda p: p.recv.ns)
+    return received
+
+
+@st.composite
+def scenarios(draw):
+    """A short capture: devices, scan windows and restarts on the radio clock."""
+    end_ns = draw(st.integers(min_value=1, max_value=30)) * 1_000_000_000
+    later = st.sets(st.integers(min_value=1, max_value=end_ns - 1), max_size=3)
+    restarts = sorted(draw(later) | {0})
+    modes = ["SCAN_MODE_LOW_LATENCY", "SCAN_MODE_BALANCED", "SCAN_MODE_LOW_POWER"]
+    scan = preset_settings(draw(st.sampled_from(modes)))
+    behavior = behavior_from_tag(
+        draw(st.sampled_from(sorted(BEHAVIOR_TAGS))), alt_interval=Duration.from_seconds(1.5)
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    restart_instants = [TimeInstant(ns, RADIO_CLOCK) for ns in restarts]
+    end = TimeInstant(end_ns, RADIO_CLOCK)
+    windows = gen_scan_windows(behavior, scan, restart_instants, end, substream(seed, "scan"))
+
+    # Devices in lockstep (no random delay, one shared start) put beacons of
+    # different devices at the same instant.
+    lockstep = draw(st.booleans())
+    adv = AdvSettings(
+        Duration.from_seconds(draw(st.sampled_from([0.02, 0.1, 0.25]))),
+        rho_max=Duration(0) if lockstep else Duration.from_seconds(0.01),
+    )
+    channel_sets = st.sampled_from([(37, 38, 39), (39, 37), (38,), (37, 37, 38)])
+    views = []
+    for d in range(draw(st.integers(min_value=1, max_value=6))):
+        start = 0 if lockstep else draw(st.integers(min_value=0, max_value=300_000_000))
+        channels = tuple(Channel.of(c) for c in draw(channel_sets))
+        rng = substream(seed, f"adv:{d}")
+        views.append(
+            gen_advertising(
+                adv, f"dev{d}", TimeInstant(start, RADIO_CLOCK), end, rng, channels
+            )
+        )
+    clock = ClockModel(
+        drift_rate=draw(st.sampled_from([0.0, 5e-5, -2e-3, 1e-2])),
+        jitter_range=draw(st.sampled_from([(0.0, 0.0), (0.0, 0.05), (0.01, 0.02)])),
+    )
+    loss = LossModel(draw(st.sampled_from([0.0, 0.3])))
+    return views, windows, restart_instants, clock, loss, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=scenarios())
+def test_columnar_reception_matches_the_per_beacon_loop(scenario):
+    views, windows, restarts, clock, loss, seed = scenario
+    events = [ev for view in views for ev in view]
+    ref_rng, rng, list_rng = (substream(seed, "rx") for _ in range(3))
+    expected = reference_reception(events, windows, restarts, clock, loss, ref_rng)
+    got = simulate_reception(AdvertisingEvents.of(views), windows, restarts, clock, loss, rng)
+    assert list(got) == expected
+    # a plain list of event objects goes through the same columns
+    from_list = simulate_reception(events, windows, restarts, clock, loss, list_rng)
+    assert list(from_list) == expected
+    # the same number of draws was taken from the stream
+    assert rng.random() == ref_rng.random() == list_rng.random()
+
+
+def receive(events, windows):
+    start = [radio_instant(0.0)]
+    return simulate_reception(events, windows, start, ClockModel(), LossModel(), substream(1, "rx"))
+
+
+def test_lockstep_devices_keep_event_order_on_ties():
+    ch37 = Channel.of(37)
+    every_100ms = AdvSettings(Duration.from_seconds(0.1), rho_max=Duration(0))
+    start, end = radio_instant(0), radio_instant(0.35)
+    events = [
+        gen_advertising(every_100ms, d, start, end, substream(1, d), (ch37,)) for d in "bac"
+    ]
+    window = ScanWindow(radio_instant(0.0), radio_instant(1.0), ch37)
+    packets = receive(AdvertisingEvents.of(events), [window])
+    assert [p.device_id for p in packets] == ["b", "a", "c"] * 4
+    assert [p.recv.ns for p in packets[:3]] == [0, 0, 0]
+
+
+def test_overlapping_windows_are_a_config_error():
+    ch37, ch38 = Channel.of(37), Channel.of(38)
+    settings = AdvSettings(Duration.from_seconds(0.1))
+    events = gen_advertising(settings, "d", radio_instant(0), radio_instant(3), substream(1, "a"))
+    first = ScanWindow(radio_instant(0.0), radio_instant(2.0), ch37)
+    with pytest.raises(ConfigError, match="overlap"):
+        receive(events, [first, ScanWindow(radio_instant(1.5), radio_instant(3.0), ch38)])
+    # windows that only touch do not overlap
+    packets = receive(events, [first, ScanWindow(radio_instant(2.0), radio_instant(3.0), ch38)])
+    assert {p.window_index for p in packets} == {0, 1}
+
+
+def division_oracle(t, starts, interval, guard):
+    """(kind, slot, rem) by enumerating the slot with Python ints."""
+    i = bisect_right(starts, t) - 1
+    if i < 0:
+        return PRE_START, 0, 0
+    slot, rem = divmod(t - starts[i], interval)
+    inside = guard <= 2 * rem <= 2 * interval - guard
+    return (CHANNEL if inside else GUARD), slot, rem
+
+
+@st.composite
+def interval_and_guard(draw):
+    interval = draw(st.integers(min_value=2, max_value=10**13))
+    guard = draw(
+        st.one_of(
+            st.just(0),
+            st.integers(min_value=0, max_value=(interval - 2) // 2).map(lambda k: 2 * k + 1),
+            st.integers(min_value=0, max_value=interval - 1),
+        )
+    )
+    return interval, guard
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    recv=st.lists(INT64, max_size=60),
+    restarts=st.lists(INT64, min_size=1, max_size=8, unique=True),
+    timing=interval_and_guard(),
+)
+def test_kernel_matches_the_division_oracle(recv, restarts, timing):
+    interval, guard = timing
+    kind, slot, rem = classify_ns(recv, restarts, interval, guard)
+    starts = sorted(restarts)
+    expected = [division_oracle(t, starts, interval, guard) for t in recv]
+    assert list(zip(kind.tolist(), slot.tolist(), rem.tolist())) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    recv=st.lists(st.integers(min_value=-(10**12), max_value=10**13), max_size=30),
+    restarts=st.lists(
+        st.integers(min_value=0, max_value=10**13), min_size=1, max_size=8, unique=True
+    ),
+    guard_ms=st.integers(min_value=0, max_value=4095),
+)
+def test_classify_trace_items_match_classify_time(recv, restarts, guard_ms):
+    scan = ScanSettings(Duration(4_096_000_000), Duration(4_096_000_000))
+    config = DetectorConfig(scan_settings=scan, guard=Duration(guard_ms * 1_000_000 + 1))
+    packets = [PacketRecord(TimeInstant(ns, APP_CLOCK), "d", None) for ns in recv]
+    anchors = [TimeInstant(ns, APP_CLOCK) for ns in restarts]
+    classified = classify_trace(packets, anchors, config)
+    assert len(classified) == len(packets)
+    for cp, p in zip(classified, packets):
+        assert cp.packet == p
+        assert cp.result == classify_time(p.recv, cp.anchor, config)
+    assert classified.labels() == tuple(cp.result.label for cp in classified)
+    assert [KINDS[k] for k in classified.kind] == [cp.result.kind for cp in classified]
+
+
+def test_kernel_needs_a_restart():
+    with pytest.raises(ConfigError):
+        classify_ns([1, 2], [], 4, 0)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from blechannel.harness import (
     ExperimentConfig,
     TraceFile,
     build_accuracy_curve,
+    classification_samples,
     detector_config,
     read_samples_csv,
     read_trace,
@@ -371,3 +373,67 @@ def test_parse_errors_name_the_file_line_after_blank_lines(tmp_path):
     with pytest.raises(TraceParseError) as exc:
         trace_from_text(GOOD_HEADER + "99,dev,37,\n\n\n100,dev,38\n")
     assert exc.value.line == 7
+
+
+def test_blank_lines_before_the_trace_header_are_skipped():
+    tf = TraceFile(
+        scan_interval_ns=4_096_000_000,
+        scan_window_ns=4_096_000_000,
+        behavior_tag="compliant",
+        seed=9,
+        restarts_ns=(0, 60_000_000_000),
+        packets=(packet(100, rssi=-41.5), packet(61_000_000_000, channel=None)),
+    )
+    lines = trace_to_text(tf).splitlines(keepends=True)
+    assert lines[3].startswith("recv_time_ns")
+    spaced = "".join(lines[:2] + ["\n"] + lines[2:3] + ["  \n", "\n"] + lines[3:])
+    assert trace_from_text(spaced) == trace_from_text(trace_to_text(tf)) == tf
+    # errors after the blank lines still name the real file line
+    with pytest.raises(TraceParseError) as exc:
+        trace_from_text(spaced.replace("recv_time_ns,", "recv_ns,"))
+    assert exc.value.line == 7
+
+
+def test_trace_times_must_fit_int64():
+    with pytest.raises(TraceParseError) as exc:
+        trace_from_text(GOOD_HEADER + f"{2**63},dev,37,\n")
+    assert exc.value.line == 4
+    base = "# blechannel-trace v1\n# ts_ns=10 ds_ns=10 behavior=x seed=1\n"
+    with pytest.raises(TraceParseError) as exc:
+        trace_from_text(base + f"# restarts_ns=0,{2**63}\n" + GOOD_HEADER.splitlines()[2])
+    assert exc.value.line == 3
+    edge = trace_from_text(GOOD_HEADER + f"{-(2**63)},dev,37,\n{2**63 - 1},dev,38,\n")
+    assert [p.recv.ns for p in edge.packets] == [-(2**63), 2**63 - 1]
+
+
+def test_validate_bounds_are_exact():
+    assert SHORT.validate() is SHORT
+    below = dataclasses.replace(SHORT, duration_s=(2**53 - 2**12) / 1e9, bucket_s=1e4)
+    below.validate()
+    with pytest.raises(ConfigError):
+        dataclasses.replace(below, duration_s=2**53 / 1e9).validate()
+    # 100000 buckets and 100000 restarts are allowed, one more is not
+    most = dataclasses.replace(SHORT, duration_s=100_000.0, bucket_s=1.0, restart_every_s=1.0)
+    most.validate()
+    with pytest.raises(ConfigError, match="buckets"):
+        dataclasses.replace(most, duration_s=100_000.5, restart_every_s=2.0).validate()
+    with pytest.raises(ConfigError, match="restarts"):
+        dataclasses.replace(most, duration_s=100_000.5, bucket_s=2.0).validate()
+    with pytest.raises(ConfigError):
+        dataclasses.replace(SHORT, restart_every_s=1e-10).validate()  # rounds to 0 ns
+    for field in ("bucket_s", "drift_rate", "jitter_max_s", "restart_every_s"):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(SHORT, **{field: math.nan}).validate()
+
+
+def test_columnar_samples_bucket_like_pairs():
+    trace = simulate_scenario(dataclasses.replace(SHORT, drift_rate=-3e-3), seed=1)
+    dconf = detector_config(SHORT, scenario_behavior(SHORT))
+    samples = classification_samples(trace, dconf)
+    assert samples.elapsed_s.max() >= SHORT.duration_s  # some fall past the horizon
+    labels = [None, False, True]
+    pairs = [(e, labels[o + 1]) for e, o in zip(samples.elapsed_s.tolist(), samples.outcome)]
+    for bucket_s in (1.0, 7.0, 30.0):
+        assert build_accuracy_curve(samples, bucket_s, SHORT.duration_s) == build_accuracy_curve(
+            pairs, bucket_s, SHORT.duration_s
+        )
