@@ -186,17 +186,18 @@ class ScanSettings:
 class AdvSettings:
     """Advertiser timing: one event every base_interval plus a random delay.
 
-    The delay is drawn uniformly from [0, rho_max] before each event.
+    The delay is drawn uniformly from [0, rho_max] before each event.  Both
+    stay below 2**53 ns (about 104 days), the range of exact simulated time.
     """
 
     base_interval: Duration
     rho_max: Duration = Duration.from_seconds(0.010)
 
     def __post_init__(self):
-        if self.base_interval.ns <= 0:
-            raise ConfigError("advertising base_interval must be positive")
-        if self.rho_max.ns < 0:
-            raise ConfigError("rho_max must be non-negative")
+        if not 0 < self.base_interval.ns < 2**53:
+            raise ConfigError("advertising base_interval must be positive and below 2**53 ns")
+        if not 0 <= self.rho_max.ns < 2**53:
+            raise ConfigError("rho_max must be non-negative and below 2**53 ns")
 
 
 class AndroidMode(enum.Enum):

@@ -375,6 +375,8 @@ class AccuracyCurve:
 # ConfigError instead of exhausting memory or time.
 MAX_BUCKETS = 100_000
 MAX_RESTARTS = 100_000
+# Advertising events of one replica, counted as if every delay were 0.
+MAX_EVENTS = 10_000_000
 # Times are int64 ns, and ClockModel.to_app_ns is exact below 2**53 ns
 # (about 104 days); every simulated instant must stay below that.
 MAX_TIME_NS = 2**53
@@ -486,7 +488,8 @@ class ExperimentConfig:
 
         Checks signs and counts, and that the bucket and restart counts and
         the simulated instants stay within ``MAX_BUCKETS``,
-        ``MAX_RESTARTS`` and ``MAX_TIME_NS``.  Returns the config.
+        ``MAX_RESTARTS``, ``MAX_EVENTS`` and ``MAX_TIME_NS``.  Returns the
+        config.
         """
         if self.n_advertisers < 0:
             raise ConfigError("n_advertisers must be non-negative")
@@ -499,6 +502,9 @@ class ExperimentConfig:
         app_end = duration_ns / (1.0 + self.drift_rate) + self.jitter_max_s * NS_PER_S
         if not (duration_ns < MAX_TIME_NS and app_end < MAX_TIME_NS):
             raise ConfigError("simulated instants must stay below 2**53 ns (about 104 days)")
+        base_ns = _preset(self.adv_mode, AdvSettings, "an advertise mode").base_interval.ns
+        if self.n_advertisers * (duration_ns // base_ns + 1) > MAX_EVENTS:
+            raise ConfigError(f"more than {MAX_EVENTS} advertising events per replica")
         _bucket_count(self.bucket_s, self.duration_s)
         step_ns = Duration.from_seconds(self.restart_every_s).ns
         if self.restart_every_s > 0 and step_ns * MAX_RESTARTS < duration_ns:

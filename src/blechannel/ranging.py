@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHANNEL_FREQ_HZ, Channel, channel_frequency
+from .core import CHANNEL_FREQ_HZ, Channel
 from .errors import ConfigError, FitError, NoDataError, TraceParseError
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -66,9 +66,10 @@ class RangingSample:
     rssi_dbm: float
 
 
-def _freq_term_db(channel: Channel) -> float:
-    # Extra free-space loss relative to channel 37; about 0.28 dB at most.
-    return 20.0 * math.log10(channel_frequency(channel) / CHANNEL_FREQ_HZ[37])
+# Extra free-space loss of each channel id relative to channel 37; 0.28 dB at most.
+_FREQ_TERM_DB = {
+    c: 20.0 * math.log10(f / CHANNEL_FREQ_HZ[37]) for c, f in CHANNEL_FREQ_HZ.items()
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,14 +105,14 @@ class CalibrationModel:
             raise ConfigError("distance must be positive")
         level = self.intercept_dbm - 10.0 * self.path_loss_exponent * math.log10(distance_m)
         if self.channel_aware:
-            level += self.channel_offset_db[channel.id - 37] - _freq_term_db(channel)
+            level += self.channel_offset_db[channel.id - 37] - _FREQ_TERM_DB[channel.id]
         return level
 
     def distance(self, channel: Channel, rssi_dbm: float) -> float:
         """Distance in metres that makes the model match the reading."""
         level_1m = self.intercept_dbm
         if self.channel_aware:
-            level_1m += self.channel_offset_db[channel.id - 37] - _freq_term_db(channel)
+            level_1m += self.channel_offset_db[channel.id - 37] - _FREQ_TERM_DB[channel.id]
         return 10.0 ** ((level_1m - rssi_dbm) / (10.0 * self.path_loss_exponent))
 
     def to_text(self) -> str:
@@ -208,7 +209,7 @@ def calibrate(
     for s in samples:
         y = s.rssi_dbm
         if channel_aware:
-            y += _freq_term_db(s.channel)
+            y += _FREQ_TERM_DB[s.channel.id]
         row = [1.0]
         if channel_aware:
             row.append(1.0 if s.channel.id == 38 else 0.0)

@@ -138,6 +138,38 @@ class ScanWindow:
         return self.end - self.start
 
 
+# Most candidates one ``getrandbits`` call of _event_starts draws.
+_DRAW_BLOCK = 1 << 16
+
+
+def _event_starts(start_ns: int, end_ns: int, base_ns: int, span: int, rng) -> np.ndarray:
+    """The ``t`` of ``t = start_ns; while t <= end_ns: t += base_ns + rng.randrange(span)``.
+
+    Same int64 values and final ``rng`` state for 1 <= span <= 2**54: one
+    ``getrandbits(32*w*n)`` holds the Mersenne Twister words of n candidates
+    of CPython's ``randrange`` (``getrandbits(k)``, k = span.bit_length(): w
+    words, least significant first, the last shifted right by 32*w - k), and a
+    block asks for no more candidates than events certain to come.
+    """
+    k = span.bit_length()
+    w = (k - 1) // 32 + 1
+    parts, t = [np.zeros(0, np.int64)], start_ns
+    while t <= end_ns:
+        n = min((end_ns - t) // (base_ns + span - 1) + 1, _DRAW_BLOCK)
+        raw = rng.getrandbits(32 * w * n).to_bytes(4 * w * n, "little")
+        words = np.frombuffer(raw, "<u4").reshape(n, w).copy()
+        words[:, -1] >>= 32 * w - k
+        cand = words.view(f"<u{4 * w}").ravel()
+        step = cand[cand < span].astype(np.int64) + base_ns
+        if len(step):
+            starts = np.cumsum(step)
+            starts -= step
+            starts += t
+            parts.append(starts)
+            t = int(starts[-1]) + int(step[-1])
+    return np.concatenate(parts)
+
+
 def gen_advertising(
     settings: AdvSettings,
     device_id: str,
@@ -149,20 +181,20 @@ def gen_advertising(
     """Advertising events from ``start`` up to and including ``end``.
 
     Consecutive events are separated by the base interval plus an integer
-    nanosecond count drawn uniformly from [0, rho_max], one
-    ``rng.randrange`` draw after each event.
+    nanosecond count drawn uniformly from [0, rho_max]: the numbers of one
+    ``rng.randrange(rho_max + 1)`` after each event, drawn in bulk as
+    Mersenne Twister words.  This relies on the word order of CPython's
+    ``getrandbits`` (a property test checks it), so ``rng`` must be a plain
+    ``random.Random``.
     """
     if start.clock != RADIO_CLOCK or end.clock != RADIO_CLOCK:
         raise ClockMismatchError("advertising runs on the radio clock")
     if not channels:
         raise ConfigError("an advertiser needs at least one channel")
-    starts, t = [], start.ns
-    base, draw, span = settings.base_interval.ns, rng.randrange, settings.rho_max.ns + 1
-    while t <= end.ns:
-        starts.append(t)
-        t += base + draw(span)
+    base, span = settings.base_interval.ns, settings.rho_max.ns + 1
+    starts = _event_starts(start.ns, end.ns, base, span, rng)
     source = np.zeros(len(starts), np.intp)
-    return AdvertisingEvents(np.array(starts, np.int64), source, ((device_id, channels),))
+    return AdvertisingEvents(starts, source, ((device_id, channels),))
 
 
 class ScannerBehavior:
@@ -511,14 +543,21 @@ class RssiModel:
         )
 
     def reader(self, rng: random.Random):
-        """``read(channel, distance_m)``: the exact prediction plus one shadowing draw."""
-        truth = self.to_calibration()
+        """``read(channel, distance_m)``: the exact prediction plus one shadowing draw.
+
+        The prediction is made once per channel and distance.
+        """
+        predict, gauss = self.to_calibration().predict_rssi, rng.gauss
         sigma = self.shadow_sigma_db
+        levels = {c: {} for c in ADVERTISING_CHANNELS}
 
         def read(channel: Channel, distance_m: float) -> float:
-            level = truth.predict_rssi(channel, distance_m)
+            known = levels[channel.id]
+            level = known.get(distance_m)
+            if level is None:
+                level = known[distance_m] = predict(channel, distance_m)
             if sigma > 0:
-                level += rng.gauss(0.0, sigma)
+                level += gauss(0.0, sigma)
             return level
 
         return read

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -225,6 +226,25 @@ def test_unrunnable_configs_are_one_line_config_errors(
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1
+
+
+def test_event_cap_refuses_before_any_draw(tmp_path, capsys, monkeypatch):
+    from blechannel import simkit
+
+    def no_draw(*args):
+        raise AssertionError("advertising was drawn")
+
+    monkeypatch.setattr(simkit, "_event_starts", no_draw)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n_advertisers = 10000000\n", encoding="utf-8")
+    started = time.perf_counter()
+    code = run(["accuracy", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
+    assert time.perf_counter() - started < 0.5
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "more than 10000000 advertising events per replica" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "accuracy", "matrix", "ranging"])

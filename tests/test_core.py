@@ -87,6 +87,11 @@ def test_adv_settings_validation():
         AdvSettings(Duration(0))
     with pytest.raises(ConfigError):
         AdvSettings(Duration(1), rho_max=Duration(-1))
+    AdvSettings(Duration(2**53 - 1), rho_max=Duration(2**53 - 1))
+    with pytest.raises(ConfigError):
+        AdvSettings(Duration(2**53))
+    with pytest.raises(ConfigError):
+        AdvSettings(Duration(1), rho_max=Duration(2**53))
 
 
 # Interval/window pairs the Android API maps its named modes to, in seconds.

@@ -2,11 +2,15 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blechannel.core import APP_CLOCK, Channel, Duration, TimeInstant
 from blechannel.errors import ConfigError, NoDataError, TraceOrderError, TraceParseError
 from blechannel.harness import (
+    EST_LABELS,
     MATRIX_BEHAVIORS,
+    MAX_EVENTS,
     AccuracyBucket,
     AccuracyCurve,
     ExperimentConfig,
@@ -408,7 +412,10 @@ def test_trace_times_must_fit_int64():
 
 def test_validate_bounds_are_exact():
     assert SHORT.validate() is SHORT
-    below = dataclasses.replace(SHORT, duration_s=(2**53 - 2**12) / 1e9, bucket_s=1e4)
+    # no advertisers, so the event cap below does not apply
+    below = dataclasses.replace(
+        SHORT, duration_s=(2**53 - 2**12) / 1e9, bucket_s=1e4, n_advertisers=0
+    )
     below.validate()
     with pytest.raises(ConfigError):
         dataclasses.replace(below, duration_s=2**53 / 1e9).validate()
@@ -424,6 +431,14 @@ def test_validate_bounds_are_exact():
     for field in ("bucket_s", "drift_rate", "jitter_max_s", "restart_every_s"):
         with pytest.raises(ConfigError):
             dataclasses.replace(SHORT, **{field: math.nan}).validate()
+    # 10 advertisers x (999_999 + 1) events at 100 ms are allowed, one more interval is not
+    assert MAX_EVENTS == 10_000_000
+    busiest = dataclasses.replace(SHORT, n_advertisers=10, duration_s=99_999.9)
+    busiest.validate()
+    with pytest.raises(ConfigError, match="events"):
+        dataclasses.replace(busiest, duration_s=100_000.0).validate()
+    with pytest.raises(ConfigError, match="events"):
+        dataclasses.replace(busiest, n_advertisers=11).validate()
 
 
 def test_columnar_samples_bucket_like_pairs():
@@ -437,3 +452,43 @@ def test_columnar_samples_bucket_like_pairs():
         assert build_accuracy_curve(samples, bucket_s, SHORT.duration_s) == build_accuracy_curve(
             pairs, bucket_s, SHORT.duration_s
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    behavior=st.sampled_from(MATRIX_BEHAVIORS),
+    scan_mode=st.sampled_from(
+        ["SCAN_MODE_LOW_POWER", "SCAN_MODE_BALANCED", "SCAN_MODE_LOW_LATENCY"]
+    ),
+    n_advertisers=st.integers(0, 3),
+    duration_s=st.floats(1.0, 40.0),
+    restart_every_s=st.sampled_from([0.0, 3.0, 7.5]),
+    drift_rate=st.floats(-2e-3, 2e-3),
+    jitter_max_s=st.sampled_from([0.0, 0.003, 0.05]),
+    loss_prob=st.sampled_from([0.0, 0.3]),
+    with_rssi=st.booleans(),
+    labels=st.one_of(st.none(), st.lists(st.sampled_from(sorted(EST_LABELS)), min_size=1)),
+)
+def test_trace_text_round_trip_is_byte_stable(
+    seed, behavior, scan_mode, n_advertisers, duration_s, restart_every_s, drift_rate,
+    jitter_max_s, loss_prob, with_rssi, labels,
+):
+    cfg = ExperimentConfig(
+        behavior=behavior,
+        scan_mode=scan_mode,
+        n_advertisers=n_advertisers,
+        duration_s=duration_s,
+        restart_every_s=restart_every_s,
+        drift_rate=drift_rate,
+        jitter_max_s=jitter_max_s,
+        loss_prob=loss_prob,
+    )
+    trace = TraceFile.from_sim(simulate_scenario(cfg, seed, with_rssi=with_rssi))
+    if labels is not None:
+        n = len(trace.packets)
+        trace = dataclasses.replace(trace, est_labels=tuple((labels * n)[:n]))
+    text = trace_to_text(trace)
+    back = trace_from_text(text)
+    assert len(back.packets) == len(trace.packets)
+    assert trace_to_text(back) == text
