@@ -81,7 +81,6 @@ from .simkit import (
     RssiModel,
     ScannerBehavior,
     ScanWindow,
-    SimTrace,
     attach_rssi,
     behavior_from_tag,
     gen_advertising,

@@ -35,29 +35,28 @@ from .harness import (
     run_compatibility_matrix,
     run_ranging_experiment,
     simulate_scenario,
+    write_text,
     write_trace,
 )
 from .simkit import BEHAVIOR_TAGS
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        return ExperimentConfig.from_file(args.config)
-    return ExperimentConfig()
+    """The --config file (or the defaults) with the run seed resolved.
 
-
-def _resolve_seed(args, cfg: ExperimentConfig) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in cfg.explicit:
-        return cfg.seed
+    The seed comes from --seed, else the config file, else
+    ``BLECHANNEL_SEED``, else the default.
+    """
+    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     env = os.environ.get("BLECHANNEL_SEED")
-    if env is not None:
+    if args.seed is not None:
+        cfg.seed = args.seed
+    elif "seed" not in cfg.explicit and env is not None:
         try:
-            return int(env)
+            cfg.seed = int(env)
         except ValueError:
             raise ConfigError(f"BLECHANNEL_SEED must be an integer, got {env!r}") from None
-    return cfg.seed
+    return cfg
 
 
 def cmd_simulate(args) -> int:
@@ -66,13 +65,11 @@ def cmd_simulate(args) -> int:
         cfg.behavior = args.behavior
     if args.duration is not None:
         cfg.duration_s = args.duration
-    seed = _resolve_seed(args, cfg)
-    cfg.seed = seed
-    trace = simulate_scenario(cfg, seed, with_rssi=not args.no_rssi)
+    trace = simulate_scenario(cfg, cfg.seed, with_rssi=not args.no_rssi)
     write_trace(trace, args.out)
     print(
         f"wrote {args.out}: {len(trace.packets)} packets, "
-        f"behavior={trace.behavior_tag}, seed={seed}"
+        f"behavior={trace.behavior_tag}, seed={trace.seed}"
     )
     return 0
 
@@ -101,7 +98,6 @@ def cmd_classify(args) -> int:
 
 def cmd_accuracy(args) -> int:
     cfg = _load_config(args)
-    cfg.seed = _resolve_seed(args, cfg)
     curve = run_accuracy_experiment(cfg)
     curve.write(args.out)
     totals = curve.totals
@@ -125,24 +121,20 @@ def cmd_accuracy(args) -> int:
 
 def cmd_matrix(args) -> int:
     cfg = _load_config(args)
-    cfg.seed = _resolve_seed(args, cfg)
     result = run_compatibility_matrix(cfg)
     sys.stdout.write(result.to_text())
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(result.to_csv_text())
+        write_text(args.out, result.to_csv_text())
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_ranging(args) -> int:
     cfg = _load_config(args)
-    cfg.seed = _resolve_seed(args, cfg)
     result = run_ranging_experiment(cfg)
     sys.stdout.write(result.to_text())
     if args.model_out:
-        with open(args.model_out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(result.comparison.aware.to_text())
+        write_text(args.model_out, result.comparison.aware.to_text())
         print(f"wrote {args.model_out}")
     return 0
 
@@ -155,8 +147,7 @@ def cmd_calibrate(args) -> int:
         channel_aware=not args.agnostic,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(model.to_text())
+        write_text(args.out, model.to_text())
         print(f"wrote {args.out}")
     print(
         f"intercept {model.intercept_dbm:.3f} dBm, "

@@ -47,7 +47,6 @@ from .simkit import (
     Packets,
     RssiModel,
     ScannerBehavior,
-    SimTrace,
     app_anchor_times,
     attach_rssi,
     behavior_from_tag,
@@ -70,7 +69,7 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 @dataclass(frozen=True, slots=True)
 class TraceFile:
-    """In-memory form of a trace CSV."""
+    """A capture, simulated or read from a trace CSV: what the detector needs."""
 
     scan_interval_ns: int
     scan_window_ns: int
@@ -91,21 +90,8 @@ class TraceFile:
     def restarts(self) -> tuple[TimeInstant, ...]:
         return tuple(TimeInstant(ns, APP_CLOCK) for ns in self.restarts_ns)
 
-    @classmethod
-    def from_sim(cls, trace: SimTrace) -> "TraceFile":
-        return cls(
-            scan_interval_ns=trace.scan_settings.scan_interval.ns,
-            scan_window_ns=trace.scan_settings.scan_window.ns,
-            behavior_tag=trace.behavior_tag,
-            seed=trace.seed,
-            restarts_ns=tuple(r.ns for r in trace.restarts),
-            packets=trace.packets,
-        )
 
-
-def trace_to_text(trace: TraceFile | SimTrace) -> str:
-    if isinstance(trace, SimTrace):
-        trace = TraceFile.from_sim(trace)
+def trace_to_text(trace: TraceFile) -> str:
     lines = [
         TRACE_MAGIC,
         f"# ts_ns={trace.scan_interval_ns} ds_ns={trace.scan_window_ns} "
@@ -131,9 +117,14 @@ def trace_to_text(trace: TraceFile | SimTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace(trace: TraceFile | SimTrace, path: str) -> None:
+def write_text(path: str, text: str) -> None:
+    """Write an output file: UTF-8 with LF line endings on every platform."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(trace_to_text(trace))
+        f.write(text)
+
+
+def write_trace(trace: TraceFile, path: str) -> None:
+    write_text(path, trace_to_text(trace))
 
 
 def _parse_meta_tokens(line: str, lineno: int) -> dict[str, str]:
@@ -186,8 +177,8 @@ def trace_from_text(text: str) -> TraceFile:
         raise TraceParseError(f"metadata key {exc.args[0]} missing", line=2) from exc
     except ValueError as exc:
         raise TraceParseError(f"bad metadata: {exc}", line=2) from exc
-    if not 0 < scan_window_ns <= scan_interval_ns:
-        raise TraceParseError("need 0 < ds_ns <= ts_ns", line=2)
+    if not 0 < scan_window_ns <= scan_interval_ns <= _INT64_MAX:
+        raise TraceParseError("need 0 < ds_ns <= ts_ns < 2**63", line=2)
 
     restarts = (0,)
     i = 2
@@ -344,8 +335,7 @@ class AccuracyCurve:
         return "\n".join(lines) + "\n"
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(self.to_csv_text())
+        write_text(path, self.to_csv_text())
 
     @classmethod
     def from_csv_text(cls, text: str) -> "AccuracyCurve":
@@ -599,8 +589,8 @@ def scenario_behavior(cfg: ExperimentConfig) -> ScannerBehavior:
     )
 
 
-def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False) -> SimTrace:
-    """One full simulated capture for the configured scenario."""
+def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False) -> TraceFile:
+    """One full simulated capture of the configured scenario, as read_trace gives one."""
     cfg.validate()
     scan = _preset(cfg.scan_mode, ScanSettings, "a scan mode")
     adv = _preset(cfg.adv_mode, AdvSettings, "an advertise mode")
@@ -636,11 +626,12 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
             for d in range(cfg.n_advertisers)
         }
         packets = attach_rssi(packets, model, distances, rng)
-    return SimTrace(
-        scan_settings=scan,
+    return TraceFile(
+        scan_interval_ns=scan.scan_interval.ns,
+        scan_window_ns=scan.scan_window.ns,
         behavior_tag=behavior.tag,
         seed=seed,
-        restarts=tuple(app_anchor_times(restarts, clock)),
+        restarts_ns=tuple(r.ns for r in app_anchor_times(restarts, clock)),
         packets=packets,
     )
 
@@ -656,7 +647,7 @@ def detector_config(cfg: ExperimentConfig, behavior: ScannerBehavior) -> Detecto
     )
 
 
-def classification_samples(trace: SimTrace | TraceFile, dconf: DetectorConfig) -> Samples:
+def classification_samples(trace: TraceFile, dconf: DetectorConfig) -> Samples:
     """Every packet's elapsed time and outcome; see :class:`Samples`."""
     packets = Packets.of(trace.packets)
     classified = classify_trace(packets, trace.restarts, dconf)
@@ -810,15 +801,12 @@ def read_samples_csv(path: str) -> list[RangingSample]:
     samples = []
     for lineno, parts in rows:
         try:
-            samples.append(
-                RangingSample(
-                    channel=Channel.of(int(parts[0])),
-                    distance_m=float(parts[1]),
-                    rssi_dbm=float(parts[2]),
-                )
-            )
+            channel, distance, rssi = Channel.of(int(parts[0])), float(parts[1]), float(parts[2])
         except (ValueError, ConfigError) as exc:
             raise TraceParseError(f"bad sample row: {exc}", line=lineno) from exc
+        if not (0 < distance < math.inf and math.isfinite(rssi)):
+            raise TraceParseError("need 0 < distance_m < inf and a finite rssi_dbm", line=lineno)
+        samples.append(RangingSample(channel, distance, rssi))
     return samples
 
 
@@ -826,5 +814,4 @@ def write_samples_csv(path: str, samples) -> None:
     lines = [SAMPLES_COLUMNS]
     for s in samples:
         lines.append(f"{s.channel.id},{s.distance_m!r},{s.rssi_dbm!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

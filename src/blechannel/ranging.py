@@ -150,8 +150,10 @@ class CalibrationModel:
             if not sep:
                 raise TraceParseError("expected key=value", line=i)
             fields[key.strip()] = value.strip()
+        aware = fields.get("channel_aware", "true")
+        if aware not in ("true", "false"):
+            raise TraceParseError(f"channel_aware must be true or false, got {aware!r}")
         try:
-            aware = fields.get("channel_aware", "true") == "true"
             offsets = (
                 0.0,
                 float(fields.get("offset_38_db", "0")),
@@ -164,7 +166,7 @@ class CalibrationModel:
                 intercept_dbm=float(fields["intercept_dbm"]),
                 path_loss_exponent=float(fields["path_loss_exponent"]),
                 channel_offset_db=offsets,
-                channel_aware=aware,
+                channel_aware=aware == "true",
                 intercept_se=float(fields["intercept_se"]) if "intercept_se" in fields else None,
                 offset_se=off_se,
                 exponent_se=float(fields["exponent_se"]) if "exponent_se" in fields else None,
@@ -193,8 +195,8 @@ def calibrate(
     if not samples:
         raise NoDataError("no calibration samples")
     for s in samples:
-        if s.distance_m <= 0:
-            raise ConfigError("calibration distances must be positive")
+        if not (0 < s.distance_m < math.inf and math.isfinite(s.rssi_dbm)):
+            raise ConfigError("calibration needs positive finite distances and finite readings")
     if channel_aware:
         present = {s.channel.id for s in samples}
         missing = set(CHANNEL_FREQ_HZ) - present

@@ -626,17 +626,6 @@ class Packets(ColumnView):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class SimTrace:
-    """A simulated capture: packets plus what the detector needs to run."""
-
-    scan_settings: ScanSettings
-    behavior_tag: str
-    seed: int
-    restarts: tuple[TimeInstant, ...]
-    packets: Packets
-
-
 def app_anchor_times(restarts: list[TimeInstant], clock: ClockModel) -> list[TimeInstant]:
     """Restart instants as the app records them.
 

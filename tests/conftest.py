@@ -9,12 +9,14 @@ import os
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []
 
-# Subprocess tests start the CLI with another working directory; a relative
-# PYTHONPATH entry (such as ``src``) would no longer find the package there.
+# Subprocess tests start the CLI with another working directory, so they
+# find the package through the absolute ``src`` path; a relative PYTHONPATH
+# entry (such as ``src``) is made absolute for the same reason.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_entries = [SRC]
 if os.environ.get("PYTHONPATH"):
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        os.path.abspath(p) if p else p for p in os.environ["PYTHONPATH"].split(os.pathsep)
-    )
+    _entries += (os.path.abspath(p) if p else p for p in os.environ["PYTHONPATH"].split(os.pathsep))
+os.environ["PYTHONPATH"] = os.pathsep.join(_entries)
 
 
 def pytest_terminal_summary(terminalreporter):

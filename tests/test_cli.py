@@ -100,6 +100,19 @@ def test_calibrate_recovers_known_model(tmp_path, capsys):
     assert "exponent 2.5000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("row", ["37,inf,-50.0", "38,2.0,nan", "39,-2.0,-50.0"])
+def test_unusable_samples_are_a_data_error_naming_the_line(tmp_path, capsys, row):
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text(
+        "channel,distance_m,rssi_dbm\n37,1.0,-40.0\n" + row + "\n38,3.0,-50.0\n",
+        encoding="utf-8",
+    )
+    assert run(["calibrate", "--in", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ")
+    assert err.count("\n") == 1
+
+
 def test_env_seed_is_used_when_nothing_else_pins_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BLECHANNEL_SEED", "7")
     trace_path = tmp_path / "trace.csv"

@@ -1,9 +1,11 @@
 """Byte-identity guard for the CLI outputs.
 
 The hashes below were taken from the per-packet object implementation
-that predates the columnar simulate/classify/bucket core.  Any change to a
-byte of a trace, a labelled trace, an accuracy curve, a matrix or the
-summary lines printed with them shows up here.  Re-record only when an
+that predates the columnar simulate/classify/bucket core; the ranging and
+calibrate hashes were taken before the trace and samples file writers were
+merged into one.  Any change to a byte of a trace, a labelled trace, an
+accuracy curve, a matrix, a model file or the summary lines printed with
+them shows up here.  Re-record only when an
 output is meant to change.
 """
 
@@ -31,6 +33,13 @@ CONFIGS = {
         "duration_s = 60\nrestart_every_s = 20\nn_advertisers = 2\n"
         "drift_rate = -1e-3\njitter_max_s = 0.03\nloss_prob = 0.2\n"
     ),
+    "samples.csv": (
+        "channel,distance_m,rssi_dbm\n"
+        "37,1.0,-40.1\n38,1.0,-46.8\n39,1.0,-55.3\n"
+        "37,2.5,-48.2\n38,2.5,-54.9\n39,2.5,-63.0\n"
+        "37,6.0,-55.7\n38,6.0,-62.4\n39,6.0,-71.1\n"
+        "37,14.0,-63.4\n38,14.0,-69.6\n39,14.0,-78.2\n"
+    ),
 }
 
 # (name, command line, files hashed along with stdout), run in order.
@@ -41,6 +50,8 @@ PLAN = [
     ("classify-busy", "classify --in busy.csv --out busy-labelled.csv", ["busy-labelled.csv"]),
     ("accuracy", "accuracy --config accuracy.cfg --seed 2 --out curve.csv", ["curve.csv"]),
     ("matrix", "matrix --config matrix.cfg --seed 3 --out matrix.csv", ["matrix.csv"]),
+    ("ranging", "ranging --seed 7 --model-out model.txt", ["model.txt"]),
+    ("calibrate", "calibrate --in samples.csv --out fit.txt", ["fit.txt"]),
 ]
 
 EXPECTED = {
@@ -50,6 +61,8 @@ EXPECTED = {
     "classify-busy": "54d3710df6bdf456ee085b67ecbfa32688e7426e41323eda21040a89edd0a4ec",
     "accuracy": "10c51a0d5de0ee5a30b4a2a53df84e4caaefaa416f44e8c470567a4a4cc1915d",
     "matrix": "6d2f035594b3367b54a4d572fb3c7ac6d01dbc26102f2f1c17261b7aab93b0a3",
+    "ranging": "0a3186f0d7fcc508f6883d2b519eaf2eff52d6ae67d86dd10d18515fb51d0903",
+    "calibrate": "7c2ce9c2dfff26b82eb50370eaf616cbc3322277a441c01517de5e81410911a1",
 }
 
 

@@ -120,6 +120,7 @@ GOOD_HEADER = "# blechannel-trace v1\n# ts_ns=4096000000 ds_ns=1024000000 behavi
         ("# blechannel-trace v1\n# ts_ns=10 behavior=compliant seed=1\nx\n", 2),
         ("# blechannel-trace v1\n# ts_ns=10 ds_ns=20 behavior=compliant seed=1\nx\n", 2),
         ("# blechannel-trace v1\n# ts_ns=abc ds_ns=1 behavior=compliant seed=1\nx\n", 2),
+        (GOOD_HEADER.replace("4096000000", "18446744073709551616"), 2),
         (GOOD_HEADER.replace("rssi_dbm", "rssi"), 3),
         (GOOD_HEADER + "99,dev,37\n", 4),
         (GOOD_HEADER + "abc,dev,37,\n", 4),
@@ -207,6 +208,33 @@ def test_curve_merge_pools_counts():
         AccuracyCurve.merge([])
     with pytest.raises(NoDataError):
         AccuracyCurve(buckets=()).totals
+
+
+_counts = st.integers(0, 50)
+_bucket_counts = st.tuples(_counts, _counts, _counts).map(
+    lambda c: (c[0] + c[1], c[1], c[2])  # (classified, correct, unclassified)
+)
+# Three runs with the same number of buckets.
+_three_runs = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(_bucket_counts, min_size=n, max_size=n), min_size=3, max_size=3)
+)
+
+
+def _curve(counts):
+    return AccuracyCurve(
+        tuple(AccuracyBucket(10.0 * i, 10.0 * (i + 1), *c) for i, c in enumerate(counts))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_three_runs)
+def test_curve_merge_is_associative_and_pools_the_totals(runs):
+    a, b, c = (_curve(counts) for counts in runs)
+    merge = AccuracyCurve.merge
+    left = merge([merge([a, b]), c])
+    assert left == merge([a, merge([b, c])]) == merge([a, b, c])
+    pooled = [sum(x) for x in zip(*(bucket for counts in runs for bucket in counts))]
+    assert list(left.totals.counts) == pooled
 
 
 def test_curve_csv_round_trip(tmp_path):
@@ -484,7 +512,7 @@ def test_trace_text_round_trip_is_byte_stable(
         jitter_max_s=jitter_max_s,
         loss_prob=loss_prob,
     )
-    trace = TraceFile.from_sim(simulate_scenario(cfg, seed, with_rssi=with_rssi))
+    trace = simulate_scenario(cfg, seed, with_rssi=with_rssi)
     if labels is not None:
         n = len(trace.packets)
         trace = dataclasses.replace(trace, est_labels=tuple((labels * n)[:n]))

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blechannel.core import CHANNEL_FREQ_HZ, Channel
 from blechannel.errors import ConfigError, FitError, NoDataError, TraceParseError
@@ -114,6 +116,9 @@ def test_calibrate_input_validation():
         calibrate([])
     with pytest.raises(ConfigError):
         calibrate([RangingSample(CH37, -1.0, -40.0)])
+    for bad in (RangingSample(CH37, math.inf, -40.0), RangingSample(CH37, 1.0, math.nan)):
+        with pytest.raises(ConfigError):
+            calibrate([bad])
     only_37 = make_samples(TRUTH, substream(12, "cal"), channels=(CH37,))
     with pytest.raises(FitError):
         calibrate(only_37)
@@ -166,6 +171,42 @@ def test_model_from_text_rejects_garbage():
         CalibrationModel.from_text("# blechannel-model v1\nintercept_dbm\n")
     with pytest.raises(TraceParseError):
         CalibrationModel.from_text("# blechannel-model v1\npath_loss_exponent=2\n")
+    with pytest.raises(TraceParseError):
+        CalibrationModel.from_text(TRUTH.to_text().replace("=true", "=yes"))
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_optional = st.one_of(st.none(), _floats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    intercept=_floats,
+    exponent=_floats,
+    offsets=st.tuples(_floats, _floats),
+    aware=st.booleans(),
+    intercept_se=_optional,
+    offset_se=st.one_of(st.none(), st.tuples(_floats, _floats)),
+    exponent_se=_optional,
+    sigma=_optional,
+    n=st.integers(0, 10**9),
+)
+def test_model_text_round_trip_is_byte_stable(
+    intercept, exponent, offsets, aware, intercept_se, offset_se, exponent_se, sigma, n
+):
+    model = CalibrationModel(
+        intercept_dbm=intercept,
+        path_loss_exponent=exponent,
+        channel_offset_db=(0.0, *offsets),
+        channel_aware=aware,
+        intercept_se=intercept_se,
+        offset_se=offset_se,
+        exponent_se=exponent_se,
+        residual_sigma_db=sigma,
+        n_samples=n,
+    )
+    text = model.to_text()
+    assert CalibrationModel.from_text(text).to_text() == text
 
 
 def test_standard_errors_shrink_with_sample_size():
