@@ -3,10 +3,11 @@
 The hashes below were taken from the per-packet object implementation
 that predates the columnar simulate/classify/bucket core; the ranging and
 calibrate hashes were taken before the trace and samples file writers were
-merged into one.  Any change to a byte of a trace, a labelled trace, an
-accuracy curve, a matrix, a model file or the summary lines printed with
-them shows up here.  Re-record only when an
-output is meant to change.
+merged into one, and the three other calibrate design variants before the
+fit was rebuilt from named columns.  Any change to a byte of a trace, a
+labelled trace, an accuracy curve, a matrix, a model file or the summary
+lines printed with them shows up here.  Re-record only when an output is
+meant to change.
 """
 
 import contextlib
@@ -52,6 +53,13 @@ PLAN = [
     ("matrix", "matrix --config matrix.cfg --seed 3 --out matrix.csv", ["matrix.csv"]),
     ("ranging", "ranging --seed 7 --model-out model.txt", ["model.txt"]),
     ("calibrate", "calibrate --in samples.csv --out fit.txt", ["fit.txt"]),
+    ("calibrate-agnostic", "calibrate --in samples.csv --agnostic --out fit-agnostic.txt",
+     ["fit-agnostic.txt"]),
+    ("calibrate-pinned", "calibrate --in samples.csv --exponent 2.0 --out fit-pinned.txt",
+     ["fit-pinned.txt"]),
+    ("calibrate-agnostic-pinned",
+     "calibrate --in samples.csv --agnostic --exponent 2.0 --out fit-agnostic-pinned.txt",
+     ["fit-agnostic-pinned.txt"]),
 ]
 
 EXPECTED = {
@@ -63,6 +71,9 @@ EXPECTED = {
     "matrix": "6d2f035594b3367b54a4d572fb3c7ac6d01dbc26102f2f1c17261b7aab93b0a3",
     "ranging": "0a3186f0d7fcc508f6883d2b519eaf2eff52d6ae67d86dd10d18515fb51d0903",
     "calibrate": "7c2ce9c2dfff26b82eb50370eaf616cbc3322277a441c01517de5e81410911a1",
+    "calibrate-agnostic": "c068938450a4c23c9618765dbe20ec9d401ab56f85013a207dbc6d4549b5a072",
+    "calibrate-pinned": "b55f05598be2b92e1f4d237170d113f4b7faac1064263d132bdd6fbad180db03",
+    "calibrate-agnostic-pinned": "846a78d64adc81c5b34514c2943cd243a0d3eb19a0c82a84cc7ad5279f1e9088",
 }
 
 
@@ -76,8 +87,9 @@ def run_plan(directory):
         (directory / name).write_text(text, encoding="utf-8")
     digests = {}
     for name, command, outputs in PLAN:
-        # every argument with a dot in it is a file name
-        argv = [str(directory / a) if "." in a else a for a in command.split()]
+        # every argument with a dot in it, other than a number, is a file name
+        argv = [str(directory / a) if "." in a and not a[0].isdigit() else a
+                for a in command.split()]
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink):
             assert cli.main(argv) == 0, name
