@@ -35,10 +35,11 @@ from .core import (
     TimeInstant,
     preset_settings,
 )
-from .detector import DetectorConfig, classify_trace
+from .detector import _LABELS, DetectorConfig, classify_trace
 from .errors import ConfigError, NoDataError, TraceOrderError, TraceParseError
 from .ranging import EstimatorComparison, RangingSample, compare_estimators
 from .simkit import (
+    _ALL_CHANNELS,
     BEHAVIOR_TAGS,
     AdvertisingEvents,
     ClockModel,
@@ -59,7 +60,7 @@ from .simkit import (
 TRACE_MAGIC = "# blechannel-trace v1"
 TRACE_COLUMNS = "recv_time_ns,device_id,true_channel,rssi_dbm"
 EST_COLUMN = "est_channel"
-EST_LABELS = frozenset({"37", "38", "39", "guard", "pre-start"})
+EST_LABELS = frozenset(_LABELS)
 CURVE_COLUMNS = "bucket_start_s,bucket_end_s,n_classified,n_correct,n_unclassified,accuracy"
 SAMPLES_COLUMNS = "channel,distance_m,rssi_dbm"
 
@@ -367,6 +368,9 @@ MAX_BUCKETS = 100_000
 MAX_RESTARTS = 100_000
 # Advertising events of one replica, counted as if every delay were 0.
 MAX_EVENTS = 10_000_000
+# Scan windows of one replica, counted as if every window were the
+# shortest spacing apart, plus up to two cut-short windows per epoch.
+MAX_WINDOWS = 10_000_000
 # Times are int64 ns, and ClockModel.to_app_ns is exact below 2**53 ns
 # (about 104 days); every simulated instant must stay below that.
 MAX_TIME_NS = 2**53
@@ -476,10 +480,12 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Raise ConfigError unless the experiments can run on this config.
 
-        Checks signs and counts, and that the bucket and restart counts and
-        the simulated instants stay within ``MAX_BUCKETS``,
-        ``MAX_RESTARTS``, ``MAX_EVENTS`` and ``MAX_TIME_NS``.  Returns the
-        config.
+        Checks signs and counts, that the bucket, restart, event and scan
+        window counts and the simulated instants stay within
+        ``MAX_BUCKETS``, ``MAX_RESTARTS``, ``MAX_EVENTS``, ``MAX_WINDOWS``
+        and ``MAX_TIME_NS``, and that the ranging experiment has enough
+        samples, a positive path-loss exponent and a usable distance range.
+        Returns the config.
         """
         if self.n_advertisers < 0:
             raise ConfigError("n_advertisers must be non-negative")
@@ -499,6 +505,19 @@ class ExperimentConfig:
         step_ns = Duration.from_seconds(self.restart_every_s).ns
         if self.restart_every_s > 0 and step_ns * MAX_RESTARTS < duration_ns:
             raise ConfigError(f"restart_every_s gives more than {MAX_RESTARTS} restarts")
+        n_epochs = -(-duration_ns // step_ns) if self.restart_every_s > 0 else 1
+        scan = _preset(self.scan_mode, ScanSettings, "a scan mode")
+        gap_ns = scenario_behavior(self).min_gap_ns(scan)
+        if duration_ns // gap_ns + 2 * n_epochs > MAX_WINDOWS:
+            raise ConfigError(f"more than {MAX_WINDOWS} scan windows per replica")
+        if self.n_train < 4:  # the unknowns of a channel-aware fit
+            raise ConfigError("n_train must be at least 4")
+        if self.n_test < 1:
+            raise ConfigError("n_test must be positive")
+        if not self.path_loss_exponent > 0:
+            raise ConfigError("path_loss_exponent must be positive")
+        if not 0 < self.distance_min_m <= self.distance_max_m < math.inf:
+            raise ConfigError("need 0 < distance_min_m <= distance_max_m < inf")
         return self
 
     def clock_model(self) -> ClockModel:
@@ -723,10 +742,10 @@ def run_compatibility_matrix(cfg: ExperimentConfig) -> MatrixResult:
     question each row answers is whether arrival times then identify the
     channel at all.
     """
-    cfg.validate()
+    # every row is checked up front, so no row runs when a later one cannot
+    scens = [dataclasses.replace(cfg, behavior=tag).validate() for tag in MATRIX_BEHAVIORS]
     rows = []
-    for tag in MATRIX_BEHAVIORS:
-        scen = dataclasses.replace(cfg, behavior=tag)
+    for scen in scens:
         behavior = scenario_behavior(scen)
         dconf = detector_config(scen, behavior)
         # Every packet counts, whatever its elapsed time.
@@ -737,7 +756,7 @@ def run_compatibility_matrix(cfg: ExperimentConfig) -> MatrixResult:
             ]
         )
         counts = (int(c[0]) for c in _tally(outcome, np.zeros_like(outcome), 1))
-        rows.append(MatrixRow(tag, dconf.scan_settings.scan_interval.seconds, *counts))
+        rows.append(MatrixRow(scen.behavior, dconf.scan_settings.scan_interval.seconds, *counts))
     return MatrixResult(rows=tuple(rows))
 
 
@@ -766,16 +785,14 @@ def gen_ranging_samples(cfg: ExperimentConfig, n: int, rng) -> list[RangingSampl
 
     Distances are log-uniform between the configured bounds, channels
     uniform, readings exact model predictions plus Gaussian shadowing.
+    ``cfg`` is expected to have passed :meth:`ExperimentConfig.validate`.
     """
-    if not 0 < cfg.distance_min_m <= cfg.distance_max_m:
-        raise ConfigError("need 0 < distance_min_m <= distance_max_m")
     read = cfg.rssi_model().reader(rng)
-    channels = tuple(Channel.of(c) for c in (37, 38, 39))
     lo = math.log10(cfg.distance_min_m)
     hi = math.log10(cfg.distance_max_m)
     samples = []
     for _ in range(n):
-        ch = rng.choice(channels)
+        ch = rng.choice(_ALL_CHANNELS)
         d = 10.0 ** (lo + rng.random() * (hi - lo))
         samples.append(RangingSample(channel=ch, distance_m=d, rssi_dbm=read(ch, d)))
     return samples

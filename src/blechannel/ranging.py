@@ -194,80 +194,59 @@ def calibrate(
     samples = list(samples)
     if not samples:
         raise NoDataError("no calibration samples")
-    for s in samples:
-        if not (0 < s.distance_m < math.inf and math.isfinite(s.rssi_dbm)):
-            raise ConfigError("calibration needs positive finite distances and finite readings")
+    chan = np.array([s.channel.id for s in samples])
+    dist = np.array([s.distance_m for s in samples], dtype=float)
+    rssi = np.array([s.rssi_dbm for s in samples], dtype=float)
+    if not (np.all((0 < dist) & (dist < math.inf)) and np.isfinite(rssi).all()):
+        raise ConfigError("calibration needs positive finite distances and finite readings")
+    missing = set(CHANNEL_FREQ_HZ) - set(chan.tolist()) if channel_aware else set()
+    if missing:
+        raise FitError(
+            f"channel-aware calibration needs samples on all channels, missing {sorted(missing)}"
+        )
+
+    # math.log10 and this order of adding to y keep the per-reading floats.
+    log_d = np.array([math.log10(d) for d in dist.tolist()])
+    y = rssi
+    design = {"intercept": np.ones(len(samples))}
     if channel_aware:
-        present = {s.channel.id for s in samples}
-        missing = set(CHANNEL_FREQ_HZ) - present
-        if missing:
-            raise FitError(
-                f"channel-aware calibration needs samples on all channels, missing {sorted(missing)}"
-            )
+        y = y + np.array([_FREQ_TERM_DB[c] for c in chan.tolist()])
+        design["offset_38"] = (chan == 38).astype(float)
+        design["offset_39"] = (chan == 39).astype(float)
+    if path_loss_exponent is None:
+        design["exponent"] = -10.0 * log_d
+    else:
+        y = y + (10.0 * path_loss_exponent) * log_d
+    x = np.column_stack(list(design.values()))
 
-    fit_exponent = path_loss_exponent is None
-    rows = []
-    targets = []
-    for s in samples:
-        y = s.rssi_dbm
-        if channel_aware:
-            y += _FREQ_TERM_DB[s.channel.id]
-        row = [1.0]
-        if channel_aware:
-            row.append(1.0 if s.channel.id == 38 else 0.0)
-            row.append(1.0 if s.channel.id == 39 else 0.0)
-        if fit_exponent:
-            row.append(-10.0 * math.log10(s.distance_m))
-        else:
-            y += 10.0 * path_loss_exponent * math.log10(s.distance_m)
-        rows.append(row)
-        targets.append(y)
-
-    x = np.asarray(rows, dtype=float)
-    yv = np.asarray(targets, dtype=float)
     n, p = x.shape
-    coef, _, rank, _ = np.linalg.lstsq(x, yv, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank < p:
         raise FitError(
             "calibration design is rank deficient; vary the distances "
             "(and channels, for a channel-aware fit)"
         )
 
-    resid = yv - x @ coef
-    dof = n - p
-    ses = None
-    sigma = None
-    if dof > 0:
-        sigma2 = float(resid @ resid) / dof
+    resid = y - x @ coef
+    se, sigma = {}, None
+    if n > p:
+        sigma2 = float(resid @ resid) / (n - p)
         cov = sigma2 * np.linalg.inv(x.T @ x)
-        ses = np.sqrt(np.diag(cov))
+        se = dict(zip(design, np.sqrt(np.diag(cov)).tolist()))
         sigma = math.sqrt(sigma2)
-
-    idx = 1
-    offsets = (0.0, 0.0, 0.0)
-    off_se = None
-    if channel_aware:
-        offsets = (0.0, float(coef[1]), float(coef[2]))
-        if ses is not None:
-            off_se = (float(ses[1]), float(ses[2]))
-        idx = 3
-    if fit_exponent:
-        exponent = float(coef[idx])
-        exp_se = float(ses[idx]) if ses is not None else None
-    else:
-        exponent = path_loss_exponent
-        exp_se = None
+    fit = dict(zip(design, coef.tolist()))
+    exponent = fit.get("exponent", path_loss_exponent)
     if exponent <= 0:
         raise FitError(f"fitted path-loss exponent is not physical: {exponent:.3f}")
 
     return CalibrationModel(
-        intercept_dbm=float(coef[0]),
+        intercept_dbm=fit["intercept"],
         path_loss_exponent=exponent,
-        channel_offset_db=offsets,
+        channel_offset_db=(0.0, fit.get("offset_38", 0.0), fit.get("offset_39", 0.0)),
         channel_aware=channel_aware,
-        intercept_se=float(ses[0]) if ses is not None else None,
-        offset_se=off_se,
-        exponent_se=exp_se,
+        intercept_se=se.get("intercept"),
+        offset_se=(se["offset_38"], se["offset_39"]) if channel_aware and se else None,
+        exponent_se=se.get("exponent"),
         residual_sigma_db=sigma,
         n_samples=n,
     )

@@ -215,6 +215,10 @@ class ScannerBehavior:
         """
         return settings
 
+    def min_gap_ns(self, settings: ScanSettings) -> int:
+        """Least ns between two window starts, except where an epoch or a cadence begins."""
+        return min(settings.scan_interval.ns, self.effective_settings(settings).scan_interval.ns)
+
     def windows(
         self,
         settings: ScanSettings,
@@ -335,6 +339,9 @@ class RapidToggle(ScannerBehavior):
             raise ConfigError("need 0 < min_window <= max_window")
         self.min_window = min_window
         self.max_window = max_window
+
+    def min_gap_ns(self, settings):
+        return self.min_window.ns
 
     def windows(self, settings, epochs, rng):
         out = []

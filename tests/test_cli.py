@@ -267,3 +267,59 @@ def test_every_experiment_command_validates_its_config(tmp_path, capsys, command
     out = ["--out", str(tmp_path / "o.csv")] if command in ("simulate", "accuracy") else []
     assert run([command, "--config", str(cfg), *out]) == 2
     assert "n_seeds must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,setting,message",
+    [
+        ("ranging", "n_train = 0", "n_train must be at least 4"),
+        ("ranging", "n_train = 3", "n_train must be at least 4"),
+        ("ranging", "n_test = 0", "n_test must be positive"),
+        ("ranging", "path_loss_exponent = 0", "path_loss_exponent must be positive"),
+        ("ranging", "distance_min_m = 0", "need 0 < distance_min_m <= distance_max_m < inf"),
+        ("ranging", "distance_min_m = 20", "need 0 < distance_min_m <= distance_max_m < inf"),
+        (
+            "simulate",
+            "behavior = alt-interval\nalt_interval_s = 1e-9\nduration_s = 20",
+            "more than 10000000 scan windows per replica",
+        ),
+        (
+            "simulate",
+            "behavior = rapid-toggle\nn_advertisers = 0\nduration_s = 8e6\nbucket_s = 100",
+            "more than 10000000 scan windows per replica",
+        ),
+        (
+            "matrix",
+            "n_advertisers = 0\nduration_s = 8e6\nbucket_s = 100",
+            "more than 10000000 scan windows per replica",
+        ),
+    ],
+)
+def test_config_faults_refuse_before_any_draw(
+    tmp_path, capsys, monkeypatch, command, setting, message
+):
+    from blechannel import harness
+
+    def no_draw(*args):
+        raise AssertionError("samples or windows were drawn")
+
+    monkeypatch.setattr(harness, "gen_scan_windows", no_draw)
+    monkeypatch.setattr(harness, "gen_ranging_samples", no_draw)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(setting + "\n", encoding="utf-8")
+    out = ["--out", str(tmp_path / "t.csv")] if command == "simulate" else []
+    started = time.perf_counter()
+    code = run([command, "--config", str(cfg), *out])
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_a_channel_missing_by_chance_is_a_data_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n_train = 4\nn_test = 1\n", encoding="utf-8")
+    assert run(["ranging", "--config", str(cfg), "--seed", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: channel-aware calibration needs samples on all channels, missing [38]\n"
+    )

@@ -11,6 +11,7 @@ from blechannel.harness import (
     EST_LABELS,
     MATRIX_BEHAVIORS,
     MAX_EVENTS,
+    MAX_WINDOWS,
     AccuracyBucket,
     AccuracyCurve,
     ExperimentConfig,
@@ -467,6 +468,33 @@ def test_validate_bounds_are_exact():
         dataclasses.replace(busiest, duration_s=100_000.0).validate()
     with pytest.raises(ConfigError, match="events"):
         dataclasses.replace(busiest, n_advertisers=11).validate()
+
+
+def test_window_cap_is_exact_and_ranging_fields_are_checked():
+    # 1 ms alt-interval windows: 9_999_998 spacings plus 2 for the one epoch
+    assert MAX_WINDOWS == 10_000_000
+    most = dataclasses.replace(
+        SHORT, behavior="alt-interval", alt_interval_s=1e-3, n_advertisers=0,
+        duration_s=9_999.998, bucket_s=1.0,
+    )
+    most.validate()
+    with pytest.raises(ConfigError, match="scan windows"):
+        dataclasses.replace(most, duration_s=9_999.999).validate()
+    # a restart every 2 s adds 2 windows per further epoch
+    with pytest.raises(ConfigError, match="scan windows"):
+        dataclasses.replace(most, restart_every_s=2.0).validate()
+    for field, value in [
+        ("path_loss_exponent", math.nan),
+        ("path_loss_exponent", -2.0),
+        ("distance_max_m", math.inf),
+        ("distance_min_m", math.nan),
+        ("n_train", 3),
+        ("n_test", 0),
+    ]:
+        with pytest.raises(ConfigError):
+            dataclasses.replace(SHORT, **{field: value}).validate()
+    fewest = dataclasses.replace(SHORT, n_train=4, n_test=1)
+    dataclasses.replace(fewest, distance_min_m=5.0, distance_max_m=5.0).validate()
 
 
 def test_columnar_samples_bucket_like_pairs():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from blechannel.core import CHANNEL_FREQ_HZ, Channel
 from blechannel.errors import ConfigError, FitError, NoDataError, TraceParseError
 from blechannel.ranging import (
+    _FREQ_TERM_DB,
     CalibrationModel,
     RadioLink,
     RangingSample,
@@ -227,3 +229,131 @@ def test_compare_estimators_prefers_awareness_under_spread():
     assert result.aware.channel_aware and not result.agnostic.channel_aware
     with pytest.raises(NoDataError):
         compare_estimators(train, [])
+
+
+# The per-reading fit that calibrate replaced, kept as the reference.
+def reference_calibrate(
+    samples,
+    *,
+    path_loss_exponent: float | None = None,
+    channel_aware: bool = True,
+) -> CalibrationModel:
+    """Least-squares fit of the log-distance model to labeled readings.
+
+    Pass ``path_loss_exponent`` to pin the rolloff instead of fitting it.
+    A channel-aware fit needs readings on all three channels and, when the
+    exponent is free, at least two distinct distances.
+    """
+    samples = list(samples)
+    if not samples:
+        raise NoDataError("no calibration samples")
+    for s in samples:
+        if not (0 < s.distance_m < math.inf and math.isfinite(s.rssi_dbm)):
+            raise ConfigError("calibration needs positive finite distances and finite readings")
+    if channel_aware:
+        present = {s.channel.id for s in samples}
+        missing = set(CHANNEL_FREQ_HZ) - present
+        if missing:
+            raise FitError(
+                f"channel-aware calibration needs samples on all channels, missing {sorted(missing)}"
+            )
+
+    fit_exponent = path_loss_exponent is None
+    rows = []
+    targets = []
+    for s in samples:
+        y = s.rssi_dbm
+        if channel_aware:
+            y += _FREQ_TERM_DB[s.channel.id]
+        row = [1.0]
+        if channel_aware:
+            row.append(1.0 if s.channel.id == 38 else 0.0)
+            row.append(1.0 if s.channel.id == 39 else 0.0)
+        if fit_exponent:
+            row.append(-10.0 * math.log10(s.distance_m))
+        else:
+            y += 10.0 * path_loss_exponent * math.log10(s.distance_m)
+        rows.append(row)
+        targets.append(y)
+
+    x = np.asarray(rows, dtype=float)
+    yv = np.asarray(targets, dtype=float)
+    n, p = x.shape
+    coef, _, rank, _ = np.linalg.lstsq(x, yv, rcond=None)
+    if rank < p:
+        raise FitError(
+            "calibration design is rank deficient; vary the distances "
+            "(and channels, for a channel-aware fit)"
+        )
+
+    resid = yv - x @ coef
+    dof = n - p
+    ses = None
+    sigma = None
+    if dof > 0:
+        sigma2 = float(resid @ resid) / dof
+        cov = sigma2 * np.linalg.inv(x.T @ x)
+        ses = np.sqrt(np.diag(cov))
+        sigma = math.sqrt(sigma2)
+
+    idx = 1
+    offsets = (0.0, 0.0, 0.0)
+    off_se = None
+    if channel_aware:
+        offsets = (0.0, float(coef[1]), float(coef[2]))
+        if ses is not None:
+            off_se = (float(ses[1]), float(ses[2]))
+        idx = 3
+    if fit_exponent:
+        exponent = float(coef[idx])
+        exp_se = float(ses[idx]) if ses is not None else None
+    else:
+        exponent = path_loss_exponent
+        exp_se = None
+    if exponent <= 0:
+        raise FitError(f"fitted path-loss exponent is not physical: {exponent:.3f}")
+
+    return CalibrationModel(
+        intercept_dbm=float(coef[0]),
+        path_loss_exponent=exponent,
+        channel_offset_db=offsets,
+        channel_aware=channel_aware,
+        intercept_se=float(ses[0]) if ses is not None else None,
+        offset_se=off_se,
+        exponent_se=exp_se,
+        residual_sigma_db=sigma,
+        n_samples=n,
+    )
+
+
+_distances = st.one_of(
+    st.sampled_from([1.0, 2.5, 14.0]),
+    st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+)
+_readings = st.one_of(
+    st.floats(min_value=-120.0, max_value=0.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _outcome(fit, samples, **flags):
+    try:
+        with np.errstate(all="ignore"):
+            return repr(fit(samples, **flags))
+    except Exception as exc:  # compared by type and message below
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    samples=st.lists(
+        st.builds(RangingSample, st.sampled_from([CH37, CH38, CH39]), _distances, _readings),
+        max_size=60,
+    ),
+    exponent=st.one_of(st.none(), st.floats(min_value=-1.0, max_value=6.0)),
+    aware=st.booleans(),
+)
+def test_calibrate_matches_the_per_reading_fit(samples, exponent, aware):
+    # repr of every field: equal models with bit-identical floats, nan included
+    flags = dict(path_loss_exponent=exponent, channel_aware=aware)
+    assert _outcome(calibrate, samples, **flags) == _outcome(reference_calibrate, samples, **flags)

@@ -2,7 +2,7 @@ import math
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blechannel.core import (
@@ -283,6 +283,47 @@ def test_window_layouts_keep_their_invariants(tag, preset, schedule, seed):
             assert ids == [37 + k % 3 for k in range(len(ids))]
     if tag == "nonstandard-order":
         assert all(a.channel != b.channel for a, b in zip(windows, windows[1:]))
+
+
+@st.composite
+def scanners(draw):
+    """A behavior with its own timing, from 10 ms up, and the requested settings."""
+    tag = draw(st.sampled_from(sorted(BEHAVIOR_TAGS)))
+    ms = st.integers(min_value=10, max_value=6_000).map(lambda v: v * 1_000_000)
+    if tag == "alt-interval":
+        interval = draw(ms)
+        window = draw(st.integers(min_value=1, max_value=interval))
+        behavior = AltInterval(Duration(interval), Duration(window))
+    elif tag == "rapid-toggle":
+        lo, hi = sorted((draw(ms), draw(ms)))
+        behavior = RapidToggle(Duration(lo), Duration(hi))
+    elif tag == "balanced-offset":
+        behavior = BalancedOffset(draw(st.floats(min_value=0.0, max_value=4.0)))
+    else:
+        behavior = behavior_from_tag(tag)
+    return behavior, preset_settings(draw(st.sampled_from(SCAN_PRESETS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scanner=scanners(),
+    schedule=scan_schedules(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+# settling 0.16 s into a 1 s epoch opens two windows where one cadence opens one
+@example(scanner=(BalancedOffset(), LOW_LATENCY), schedule=([0], 10**9), seed=10)
+def test_min_gap_bounds_the_window_count(scanner, schedule, seed):
+    behavior, requested = scanner
+    restarts, end_ns = schedule
+    windows = gen_scan_windows(
+        behavior,
+        requested,
+        [TimeInstant(ns, RADIO_CLOCK) for ns in restarts],
+        TimeInstant(end_ns, RADIO_CLOCK),
+        substream(seed, "scan"),
+    )
+    # the count ExperimentConfig.validate holds against MAX_WINDOWS
+    assert len(windows) <= end_ns // behavior.min_gap_ns(requested) + 2 * len(restarts)
 
 
 def test_clock_model_validation_and_conversion():
