@@ -49,6 +49,8 @@ PLAN = [
     ("classify", "classify --in trace.csv --out labelled.csv", ["labelled.csv"]),
     ("simulate-busy", "simulate --config busy.cfg --seed 7 --out busy.csv", ["busy.csv"]),
     ("classify-busy", "classify --in busy.csv --out busy-labelled.csv", ["busy-labelled.csv"]),
+    ("simulate-bare", "simulate --seed 7 --duration 60 --no-rssi --out bare.csv", ["bare.csv"]),
+    ("classify-bare", "classify --in bare.csv --out bare-labelled.csv", ["bare-labelled.csv"]),
     ("accuracy", "accuracy --config accuracy.cfg --seed 2 --out curve.csv", ["curve.csv"]),
     ("matrix", "matrix --config matrix.cfg --seed 3 --out matrix.csv", ["matrix.csv"]),
     ("ranging", "ranging --seed 7 --model-out model.txt", ["model.txt"]),
@@ -67,6 +69,8 @@ EXPECTED = {
     "classify": "3f18edf835b59be551938a14da13f55237f4dd2140188c24a9095e907e51e319",
     "simulate-busy": "13596e147bdeb03eda6c448ce8f7535b54a46d88c8b376b0ad6cb89fd563cfe8",
     "classify-busy": "54d3710df6bdf456ee085b67ecbfa32688e7426e41323eda21040a89edd0a4ec",
+    "simulate-bare": "42c82a5b773d8fa8ebab5e997de1e98b0177119cf8512a2f4626e0b89f48ed58",
+    "classify-bare": "fcc3924b19c93636e880b93d70eca555ce2558f200c2999df6eac4b3e9442204",
     "accuracy": "10c51a0d5de0ee5a30b4a2a53df84e4caaefaa416f44e8c470567a4a4cc1915d",
     "matrix": "6d2f035594b3367b54a4d572fb3c7ac6d01dbc26102f2f1c17261b7aab93b0a3",
     "ranging": "0a3186f0d7fcc508f6883d2b519eaf2eff52d6ae67d86dd10d18515fb51d0903",
