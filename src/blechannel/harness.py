@@ -17,7 +17,7 @@ import dataclasses
 import math
 import re
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -63,6 +63,9 @@ EST_COLUMN = "est_channel"
 EST_LABELS = frozenset(_LABELS)
 CURVE_COLUMNS = "bucket_start_s,bucket_end_s,n_classified,n_correct,n_unclassified,accuracy"
 SAMPLES_COLUMNS = "channel,distance_m,rssi_dbm"
+# Largest |rssi_dbm| a samples CSV may hold: far beyond any radio, and far
+# below the readings whose squares overflow the least-squares fit.
+MAX_SAMPLE_RSSI_DBM = 200.0
 
 _DEVICE_ID = re.compile(r"[A-Za-z0-9._:-]+")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -92,6 +95,12 @@ class TraceFile:
         return tuple(TimeInstant(ns, APP_CLOCK) for ns in self.restarts_ns)
 
 
+# Rows that trace_to_text formats, and trace_from_text converts, at a time.
+# Small blocks keep the cells in flight from raising the peak memory of a
+# write or a parse; from 256 rows up the per-block cost no longer shows.
+_TEXT_BLOCK = 1 << 8
+
+
 def trace_to_text(trace: TraceFile) -> str:
     lines = [
         TRACE_MAGIC,
@@ -108,14 +117,30 @@ def trace_to_text(trace: TraceFile) -> str:
     for device_id in packets.device_ids:
         if not _DEVICE_ID.fullmatch(device_id):
             raise ConfigError(f"device id not writable to CSV: {device_id!r}")
-    names, rssi = packets.device_ids, packets.rssi_dbm or repeat(None)
-    labels = repeat("") if est is None else ("," + e for e in est)
-    columns = zip(packets.recv_ns.tolist(), packets.device.tolist(), packets.channel.tolist())
-    lines += (
-        f"{ns},{names[d]},{c or ''},{'' if r is None else format(r, '.6f')}{e}"
-        for (ns, d, c), r, e in zip(columns, rssi, labels)
-    )
-    return "\n".join(lines) + "\n"
+    # Each block of rows is one %-format over its cells, row by row: %d for
+    # the time, names and channel texts looked up in small tables, CPython's
+    # own %.6f for the readings and %s for cells written ahead.
+    names = np.array(packets.device_ids, object)
+    codes, channel_code = np.unique(packets.channel, return_inverse=True)
+    channel_text = np.array([str(c) if c else "" for c in codes.tolist()], object)
+    rssi = packets.rssi_dbm
+    row = "%d,%s,%s,"
+    if rssi is not None and None in rssi:
+        rssi = ["" if r is None else format(r, ".6f") for r in rssi]
+        row += "%s"
+    elif rssi is not None:
+        row += "%.6f"
+    row += "" if est is None else ",%s"
+    text = ["\n".join(lines) + "\n"]
+    for i in range(0, len(packets), _TEXT_BLOCK):
+        cells = [
+            packets.recv_ns[i : i + _TEXT_BLOCK].tolist(),
+            names[packets.device[i : i + _TEXT_BLOCK]].tolist(),
+            channel_text[channel_code[i : i + _TEXT_BLOCK]].tolist(),
+        ]
+        cells += [c[i : i + _TEXT_BLOCK] for c in (rssi, est) if c is not None]
+        text.append(((row + "\n") * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
+    return "".join(text)
 
 
 def write_text(path: str, text: str) -> None:
@@ -160,6 +185,115 @@ def _table_rows(text: str, columns: str, message: str):
     if head == len(lines) or lines[head].strip() != columns:
         raise TraceParseError(message, line=head + 1)
     return _csv_rows(lines, head + 1, columns.count(",") + 1)
+
+
+_CHANNEL_CELLS = {"": 0, **{str(c): c for c in CHANNEL_FREQ_HZ}}
+
+
+def _trace_columns(lines: list[str], first: int, has_est: bool):
+    """The columns of the rows ``lines[first:]`` of a regular trace, or None.
+
+    Regular: no blank or padded line, the right number of fields on every
+    line, every cell as the writer writes it or as ``int``/``float`` read
+    it, times that never move backwards, and each block of rows with RSSI
+    in every cell or in none.  Each check runs once per column of a block;
+    on None :func:`_trace_rows` reads the trace and names the bad line.
+    """
+    n_fields = 5 if has_est else 4
+    recv, device, channel = [np.zeros(0, np.int64)], [np.zeros(0, np.intp)], []
+    rssi, est, device_ids = [], [], {}
+    for start in range(first, len(lines), _TEXT_BLOCK):
+        block = lines[start : start + _TEXT_BLOCK]
+        if set(map(str.count, block, repeat(","))) != {n_fields - 1}:
+            return None
+        if list(map(str.strip, block)) != block:
+            return None
+        cells = ",".join(block).split(",")
+        times, names, channels, readings = (cells[k::n_fields] for k in range(4))
+        try:
+            recv.append(np.array(list(map(int, times)), np.int64))
+        except (ValueError, OverflowError):
+            return None
+        for name in dict.fromkeys(names):
+            if name not in device_ids:
+                if not _DEVICE_ID.fullmatch(name):
+                    return None
+                device_ids[name] = len(device_ids)
+        device.append(np.fromiter(map(device_ids.__getitem__, names), np.intp, len(names)))
+        channels = list(map(_CHANNEL_CELLS.get, channels))
+        if None in channels:
+            return None
+        channel += channels
+        if readings.count("") == len(readings):
+            rssi += repeat(None, len(readings))
+        else:
+            try:
+                rssi += map(float, readings)
+            except ValueError:
+                return None
+        if has_est:
+            labels = cells[4::n_fields]
+            if not EST_LABELS.issuperset(labels):
+                return None
+            est += labels
+    recv = np.concatenate(recv)
+    # compared, not differenced: the difference of two int64 times can wrap
+    if np.any(recv[1:] < recv[:-1]):
+        return None
+    return (
+        recv,
+        np.concatenate(device),
+        tuple(device_ids),
+        np.array(channel, np.int64),
+        rssi,
+        tuple(est) if has_est else None,
+    )
+
+
+def _trace_rows(lines: list[str], first: int, has_est: bool):
+    """:func:`_trace_columns` row by row, for any trace: it skips blank lines,
+    strips padding and leaves a blank RSSI cell None, and raises the
+    TraceParseError or TraceOrderError of the first bad line."""
+    recv, device, channel, rssi, est = [], [], [], [], []
+    device_ids: dict[str, int] = {}
+    for lineno, parts in _csv_rows(lines, first, 5 if has_est else 4):
+        try:
+            recv_ns = int(parts[0])
+        except ValueError as exc:
+            raise TraceParseError("recv_time_ns must be an integer", line=lineno) from exc
+        if not _INT64_MIN <= recv_ns <= _INT64_MAX:
+            raise TraceParseError("recv_time_ns out of the int64 range", line=lineno)
+        if recv and recv_ns < recv[-1]:
+            raise TraceOrderError(f"line {lineno}: timestamps moved backwards")
+        recv.append(recv_ns)
+        if parts[1] not in device_ids:
+            if not _DEVICE_ID.fullmatch(parts[1]):
+                raise TraceParseError(f"bad device id {parts[1]!r}", line=lineno)
+            device_ids[parts[1]] = len(device_ids)
+        device.append(device_ids[parts[1]])
+        try:
+            ch = int(parts[2]) if parts[2] else 0
+        except ValueError:
+            ch = -1
+        if parts[2] and ch not in CHANNEL_FREQ_HZ:
+            raise TraceParseError(f"bad true_channel {parts[2]!r}", line=lineno)
+        channel.append(ch)
+        try:
+            rssi.append(float(parts[3]) if parts[3] else None)
+        except ValueError as exc:
+            raise TraceParseError(f"bad rssi_dbm {parts[3]!r}", line=lineno) from exc
+        if has_est:
+            if parts[4] not in EST_LABELS:
+                raise TraceParseError(f"bad est_channel {parts[4]!r}", line=lineno)
+            est.append(parts[4])
+    return (
+        np.array(recv, np.int64),
+        np.array(device, np.intp),
+        tuple(device_ids),
+        np.array(channel, np.int64),
+        rssi,
+        tuple(est) if has_est else None,
+    )
 
 
 def trace_from_text(text: str) -> TraceFile:
@@ -209,43 +343,14 @@ def trace_from_text(text: str) -> TraceFile:
     else:
         raise TraceParseError(f"unexpected columns {header!r}", line=i + 1)
 
-    recv, device, channel, rssi, est = [], [], [], [], []
-    device_ids: dict[str, int] = {}
-    for lineno, parts in _csv_rows(lines, i + 1, 5 if has_est else 4):
-        try:
-            recv_ns = int(parts[0])
-        except ValueError as exc:
-            raise TraceParseError("recv_time_ns must be an integer", line=lineno) from exc
-        if not _INT64_MIN <= recv_ns <= _INT64_MAX:
-            raise TraceParseError("recv_time_ns out of the int64 range", line=lineno)
-        if recv and recv_ns < recv[-1]:
-            raise TraceOrderError(f"line {lineno}: timestamps moved backwards")
-        recv.append(recv_ns)
-        if parts[1] not in device_ids:
-            if not _DEVICE_ID.fullmatch(parts[1]):
-                raise TraceParseError(f"bad device id {parts[1]!r}", line=lineno)
-            device_ids[parts[1]] = len(device_ids)
-        device.append(device_ids[parts[1]])
-        try:
-            ch = int(parts[2]) if parts[2] else 0
-        except ValueError:
-            ch = -1
-        if parts[2] and ch not in CHANNEL_FREQ_HZ:
-            raise TraceParseError(f"bad true_channel {parts[2]!r}", line=lineno)
-        channel.append(ch)
-        try:
-            rssi.append(float(parts[3]) if parts[3] else None)
-        except ValueError as exc:
-            raise TraceParseError(f"bad rssi_dbm {parts[3]!r}", line=lineno) from exc
-        if has_est:
-            if parts[4] not in EST_LABELS:
-                raise TraceParseError(f"bad est_channel {parts[4]!r}", line=lineno)
-            est.append(parts[4])
+    recv, device, device_ids, channel, rssi, est = (
+        _trace_columns(lines, i + 1, has_est) or _trace_rows(lines, i + 1, has_est)
+    )
     packets = Packets(
-        recv_ns=np.array(recv, np.int64),
-        device=np.array(device, np.intp),
-        device_ids=tuple(device_ids),
-        channel=np.array(channel, np.int64),
+        recv_ns=recv,
+        device=device,
+        device_ids=device_ids,
+        channel=channel,
         window_index=np.full(len(recv), -1, np.int64),
         rssi_dbm=rssi,
     )
@@ -256,7 +361,7 @@ def trace_from_text(text: str) -> TraceFile:
         seed=seed,
         restarts_ns=restarts,
         packets=packets,
-        est_labels=tuple(est) if has_est else None,
+        est_labels=est,
     )
 
 
@@ -823,6 +928,8 @@ def read_samples_csv(path: str) -> list[RangingSample]:
             raise TraceParseError(f"bad sample row: {exc}", line=lineno) from exc
         if not (0 < distance < math.inf and math.isfinite(rssi)):
             raise TraceParseError("need 0 < distance_m < inf and a finite rssi_dbm", line=lineno)
+        if abs(rssi) > MAX_SAMPLE_RSSI_DBM:
+            raise TraceParseError(f"|rssi_dbm| above {MAX_SAMPLE_RSSI_DBM:g} dBm", line=lineno)
         samples.append(RangingSample(channel, distance, rssi))
     return samples
 

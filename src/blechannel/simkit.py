@@ -12,6 +12,7 @@ the scanner, one for reception) without manual seed bookkeeping.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -694,19 +695,73 @@ def simulate_reception(
     )
 
 
+# Most Gaussian pairs one ``getrandbits`` call of _gauss_draws draws.
+_GAUSS_BLOCK = 1 << 10
+
+
+def _floats(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (a CPython ``math`` function) applied to each float of ``values``."""
+    return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
+
+
+def _gauss_draws(n: int, rng: random.Random) -> np.ndarray:
+    """The ``z`` of n calls of CPython's ``rng.gauss`` (each returns ``mu + z * sigma``).
+
+    Same floats and final ``rng`` state: a pending ``rng.gauss_next`` comes
+    first; each further pair takes two ``random()`` values, four Mersenne
+    Twister words of one ``getrandbits(128 * pairs)`` (``random()`` is
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``), and gives ``cos(x2pi) * g2rad``
+    then ``sin(x2pi) * g2rad`` with ``x2pi = u0 * 2pi`` and
+    ``g2rad = sqrt(-2 * log(1 - u1))``; a sine left over goes back into
+    ``rng.gauss_next``.  ``log``, ``cos`` and ``sin`` are ``math``'s, since
+    numpy's may differ by an ulp; ``sqrt`` and the arithmetic are IEEE-exact.
+    """
+    parts = [np.zeros(0)]
+    if n and rng.gauss_next is not None:
+        parts.append(np.array([rng.gauss_next]))
+        rng.gauss_next = None
+        n -= 1
+    while n > 0:
+        pairs = min((n + 1) // 2, _GAUSS_BLOCK)
+        raw = rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little")
+        words = np.frombuffer(raw, "<u4").reshape(pairs, 2, 2).astype(np.uint64)
+        u = ((words[..., 0] >> 5) * 67108864 + (words[..., 1] >> 6)) * 2.0**-53
+        x2pi = u[:, 0] * random.TWOPI
+        g2rad = np.sqrt(-2.0 * _floats(math.log, 1.0 - u[:, 1]))
+        z = np.stack([_floats(math.cos, x2pi) * g2rad, _floats(math.sin, x2pi) * g2rad], 1)
+        z = z.ravel()
+        if n < len(z):
+            rng.gauss_next = float(z[-1])
+            z = z[:-1]
+        parts.append(z)
+        n -= len(z)
+    return np.concatenate(parts)
+
+
 def attach_rssi(
     packets, model: RssiModel, distances: dict[str, float], rng: random.Random
 ) -> Packets:
     """Fill in RSSI readings given each device's distance in metres.
 
-    One shadowing draw per packet, in packet order.
+    The readings and the final ``rng`` state are those of ``model.reader(rng)``
+    called once per packet in packet order: one prediction per channel and
+    device, plus one shadowing draw per packet (see :func:`_gauss_draws`).
+    A device without a distance is refused before anything is drawn.
     """
     packets = Packets.of(packets)
-    read = model.reader(rng)
     where = [distances.get(d) for d in packets.device_ids]
-    rssi = []
-    for dev, ch in zip(packets.device.tolist(), packets.channel.tolist()):
-        if where[dev] is None:
-            raise ConfigError(f"no distance given for device {packets.device_ids[dev]!r}")
-        rssi.append(read(_CHANNEL_OF_ID[ch], where[dev]))
-    return replace(packets, rssi_dbm=rssi)
+    missing = np.array([d is None for d in where], bool)[packets.device]
+    if missing.any():
+        dev = packets.device[np.argmax(missing)]
+        raise ConfigError(f"no distance given for device {packets.device_ids[dev]!r}")
+    predict = model.to_calibration().predict_rssi
+    key = packets.channel * len(where) + packets.device
+    keys, inverse = np.unique(key, return_inverse=True)
+    level = np.array(
+        [predict(_CHANNEL_OF_ID[k // len(where)], where[k % len(where)]) for k in keys.tolist()],
+        np.float64,
+    )[inverse]
+    sigma = model.shadow_sigma_db
+    if sigma > 0:  # the reader adds rng.gauss(0.0, sigma), which is 0.0 + z * sigma
+        level += 0.0 + _gauss_draws(len(level), rng) * sigma
+    return replace(packets, rssi_dbm=level.tolist())

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import pytest
 
@@ -111,6 +112,20 @@ def test_unusable_samples_are_a_data_error_naming_the_line(tmp_path, capsys, row
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rssi", ["1e200", "-200.5"])
+def test_unphysical_sample_readings_are_refused_without_a_warning(tmp_path, capsys, rssi):
+    csv_path = tmp_path / "samples.csv"
+    rows = ["37,1.0,-40.0", "38,2.0,-47.0", f"39,4.0,{rssi}", "37,8.0,-58.0", "38,3.0,-50.0"]
+    csv_path.write_text("channel,distance_m,rssi_dbm\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["calibrate", "--in", str(csv_path), "--out", str(tmp_path / "m.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 4: |rssi_dbm| above 200 dBm\n"
+    assert captured.out == ""
+    assert not (tmp_path / "m.txt").exists()
 
 
 def test_env_seed_is_used_when_nothing_else_pins_one(tmp_path, monkeypatch, capsys):
