@@ -11,7 +11,6 @@ edges fall between every few rows.
 """
 
 import dataclasses
-import math
 import random
 from dataclasses import replace
 from itertools import repeat
@@ -257,11 +256,13 @@ def hand_built_traces(draw):
             st.lists(st.floats(-150, 50), min_size=n, max_size=n),
         )
     )
+    device = draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n))
+    channel = draw(st.lists(st.sampled_from([0, 37, 38, 39]), min_size=n, max_size=n))
     packets = Packets(
         recv_ns=np.array(recv, np.int64),
-        device=np.array(draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n)), np.intp),
+        device=np.array(device, np.intp),
         device_ids=tuple(names),
-        channel=np.array(draw(st.lists(st.sampled_from([0, 37, 38, 39]), min_size=n, max_size=n)), np.int64),
+        channel=np.array(channel, np.int64),
         window_index=np.full(n, -1, np.int64),
         rssi_dbm=rssi,
     )
@@ -353,12 +354,15 @@ def test_parser_matches_the_row_parser(trace, edits, block):
         assert outcome(trace_from_text, text) == outcome(reference_trace_from_text, text)
 
 
+DEVICES = ("d0", "d1", "d2")
+
+
 def cycling_packets(n, rssi=None):
-    """n packets, three devices and the three channels in turn."""
+    """n packets, the three devices and the three channels in turn."""
     return Packets(
         recv_ns=np.arange(n, dtype=np.int64) * 1000,
         device=np.arange(n, dtype=np.intp) % 3,
-        device_ids=("d0", "d1", "d2"),
+        device_ids=DEVICES,
         channel=37 + np.arange(n, dtype=np.int64) % 3,
         window_index=np.full(n, -1, np.int64),
         rssi_dbm=rssi,
@@ -414,18 +418,17 @@ def test_written_traces_take_the_column_path(with_rssi):
         )
 
 
-DEVICES = ("d0", "d1", "d2")
-
-
 @st.composite
 def rssi_cases(draw):
     """(packets, model, distances, seed, pending gauss_next)."""
     n = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 4, 7, 8]), st.integers(0, 200)))
+    device = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    channel = draw(st.lists(st.sampled_from([37, 38, 39]), min_size=n, max_size=n))
     packets = Packets(
         recv_ns=np.arange(n, dtype=np.int64),
-        device=np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), np.intp),
+        device=np.array(device, np.intp),
         device_ids=DEVICES,
-        channel=np.array(draw(st.lists(st.sampled_from([37, 38, 39]), min_size=n, max_size=n)), np.int64),
+        channel=np.array(channel, np.int64),
         window_index=np.full(n, -1, np.int64),
     )
     model = RssiModel(
@@ -478,11 +481,14 @@ def test_bulk_gaussians_match_gauss_bit_for_bit(seed, n, pending, block):
 
 def test_bulk_shadowing_over_more_than_one_block():
     model = RssiModel(shadow_sigma_db=2.0, channel_offset_db=(0.0, -7.0, -15.0))
-    for n, seed, pending in ((2 * simkit._GAUSS_BLOCK + 3, 1, False), (2 * simkit._GAUSS_BLOCK + 6, 2, True)):
-        assert_same_rssi(cycling_packets(n), model, {"d0": 1.5, "d1": 4.0, "d2": 9.25}, seed, pending)
+    distances = {"d0": 1.5, "d1": 4.0, "d2": 9.25}
+    for extra, seed, pending in ((3, 1, False), (6, 2, True)):
+        packets = cycling_packets(2 * simkit._GAUSS_BLOCK + extra)
+        assert_same_rssi(packets, model, distances, seed, pending)
 
 
 def test_missing_distance_is_refused_before_any_draw():
+    """The one departure from the reader loop, which drew for the packets before it."""
     packets = Packets(
         recv_ns=np.arange(4, dtype=np.int64),
         device=np.array([0, 2, 1, 2], np.intp),
@@ -490,9 +496,10 @@ def test_missing_distance_is_refused_before_any_draw():
         channel=np.full(4, 37, np.int64),
         window_index=np.full(4, -1, np.int64),
     )
-    rng = random.Random(5)
-    state = rng.getstate()
-    with pytest.raises(ConfigError, match="'d2'"):
-        attach_rssi(packets, RssiModel(shadow_sigma_db=2.0), {"d0": 1.0}, rng)
-    assert rng.getstate() == state
-    assert math.isfinite(attach_rssi(packets, RssiModel(), dict.fromkeys(DEVICES, 2.0), rng)[0].rssi_dbm)
+    model = RssiModel(shadow_sigma_db=2.0)
+    bulk, loop = random.Random(5), random.Random(5)
+    for attach, rng in ((attach_rssi, bulk), (reference_attach_rssi, loop)):
+        with pytest.raises(ConfigError, match="^no distance given for device 'd2'$"):
+            attach(packets, model, {"d0": 1.0}, rng)
+    assert bulk.getstate() == random.Random(5).getstate()
+    assert loop.getstate() != bulk.getstate()
