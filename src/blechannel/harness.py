@@ -424,11 +424,8 @@ class AccuracyCurve:
         for c in curves[1:]:
             if [(b.start_s, b.end_s) for b in c.buckets] != edges:
                 raise ConfigError("cannot merge curves with different bucket edges")
-        merged = (
-            AccuracyBucket(start, end, *map(sum, zip(*(c.buckets[i].counts for c in curves))))
-            for i, (start, end) in enumerate(edges)
-        )
-        return AccuracyCurve(buckets=tuple(merged))
+        pooled = (map(sum, zip(*(c.buckets[i].counts for c in curves))) for i in range(len(edges)))
+        return _curve(edges, pooled)
 
     def to_csv_text(self) -> str:
         lines = [CURVE_COLUMNS]
@@ -499,10 +496,29 @@ class Samples(NamedTuple):
     outcome: np.ndarray
 
 
-def _tally(outcome: np.ndarray, idx: np.ndarray, n: int):
-    """(classified, correct, unclassified) counts per bucket index."""
+def _tally(outcome: np.ndarray, idx: np.ndarray | int, n: int) -> np.ndarray:
+    """(n, 3) int64 counts per bucket index: classified, correct, unclassified."""
     counts = np.bincount(3 * idx + outcome + 1, minlength=3 * n).reshape(n, 3)
-    return counts[:, 1] + counts[:, 2], counts[:, 2], counts[:, 0]
+    unclassified, wrong, correct = counts.T
+    return np.stack([wrong + correct, correct, unclassified], axis=1)
+
+
+def _bucketed(samples: Samples, bucket_s: float, horizon_s: float) -> np.ndarray:
+    """:func:`_tally` of the samples in [0, horizon) by ``bucket_s`` bucket."""
+    n = _bucket_count(bucket_s, horizon_s)
+    keep = (samples.elapsed_s >= 0) & (samples.elapsed_s < horizon_s)
+    idx = np.minimum((samples.elapsed_s[keep] / bucket_s).astype(np.int64), n - 1)
+    return _tally(samples.outcome[keep], idx, n)
+
+
+def _curve(edges, counts) -> AccuracyCurve:
+    """A curve of one bucket per (start_s, end_s) edge and counts triple."""
+    return AccuracyCurve(tuple(AccuracyBucket(s, e, *c) for (s, e), c in zip(edges, counts)))
+
+
+def _edges(bucket_s: float, horizon_s: float) -> list[tuple[float, float]]:
+    n = _bucket_count(bucket_s, horizon_s)
+    return [(i * bucket_s, min((i + 1) * bucket_s, horizon_s)) for i in range(n)]
 
 
 def build_accuracy_curve(samples, bucket_s: float, horizon_s: float) -> AccuracyCurve:
@@ -512,27 +528,14 @@ def build_accuracy_curve(samples, bucket_s: float, horizon_s: float) -> Accuracy
     one and None for unclassified.  Samples outside [0, horizon) are
     dropped.
     """
-    n = _bucket_count(bucket_s, horizon_s)
+    edges = _edges(bucket_s, horizon_s)
     if not isinstance(samples, Samples):
         pairs = list(samples)
         samples = Samples(
             np.array([e for e, _ in pairs], np.float64),
             np.array([-1 if o is None else int(bool(o)) for _, o in pairs], np.int64),
         )
-    keep = (samples.elapsed_s >= 0) & (samples.elapsed_s < horizon_s)
-    idx = np.minimum((samples.elapsed_s[keep] / bucket_s).astype(np.int64), n - 1)
-    classified, correct, unclassified = _tally(samples.outcome[keep], idx, n)
-    buckets = tuple(
-        AccuracyBucket(
-            start_s=i * bucket_s,
-            end_s=min((i + 1) * bucket_s, horizon_s),
-            n_classified=int(classified[i]),
-            n_correct=int(correct[i]),
-            n_unclassified=int(unclassified[i]),
-        )
-        for i in range(n)
-    )
-    return AccuracyCurve(buckets=buckets)
+    return _curve(edges, _bucketed(samples, bucket_s, horizon_s).tolist())
 
 
 MATRIX_BEHAVIORS = tuple(BEHAVIOR_TAGS)
@@ -760,11 +763,11 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
     )
 
 
-def detector_config(cfg: ExperimentConfig, behavior: ScannerBehavior) -> DetectorConfig:
+def detector_config(cfg: ExperimentConfig) -> DetectorConfig:
     """Detector settings for a scenario, honouring what the device really does."""
-    effective = behavior.effective_settings(_preset(cfg.scan_mode, ScanSettings, "a scan mode"))
+    scan = _preset(cfg.scan_mode, ScanSettings, "a scan mode")
     return DetectorConfig(
-        scan_settings=effective,
+        scan_settings=scenario_behavior(cfg).effective_settings(scan),
         guard=Duration.from_seconds(cfg.guard_s),
         max_scan_time=Duration.from_seconds(cfg.max_scan_time_s),
         idle_timeout=Duration.from_seconds(cfg.idle_timeout_s),
@@ -781,17 +784,18 @@ def classification_samples(trace: TraceFile, dconf: DetectorConfig) -> Samples:
     )
 
 
+def _replica_samples(cfg: ExperimentConfig):
+    """Each replica's :class:`Samples`, seed by seed: the experiments' one replica
+    loop, which simulates a replica only once the one before it is consumed."""
+    dconf = detector_config(cfg.validate())
+    for i in range(cfg.n_seeds):
+        yield classification_samples(simulate_scenario(cfg, cfg.seed + i), dconf)
+
+
 def run_accuracy_experiment(cfg: ExperimentConfig) -> AccuracyCurve:
     """Accuracy over elapsed scan time, pooled over ``n_seeds`` replicas."""
-    cfg.validate()
-    behavior = scenario_behavior(cfg)
-    dconf = detector_config(cfg, behavior)
-    curves = []
-    for i in range(cfg.n_seeds):
-        trace = simulate_scenario(cfg, cfg.seed + i)
-        samples = classification_samples(trace, dconf)
-        curves.append(build_accuracy_curve(samples, cfg.bucket_s, cfg.duration_s))
-    return AccuracyCurve.merge(curves)
+    counts = sum(_bucketed(s, cfg.bucket_s, cfg.duration_s) for s in _replica_samples(cfg))
+    return _curve(_edges(cfg.bucket_s, cfg.duration_s), counts.tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -851,17 +855,10 @@ def run_compatibility_matrix(cfg: ExperimentConfig) -> MatrixResult:
     scens = [dataclasses.replace(cfg, behavior=tag).validate() for tag in MATRIX_BEHAVIORS]
     rows = []
     for scen in scens:
-        behavior = scenario_behavior(scen)
-        dconf = detector_config(scen, behavior)
         # Every packet counts, whatever its elapsed time.
-        outcome = np.concatenate(
-            [
-                classification_samples(simulate_scenario(scen, cfg.seed + i), dconf).outcome
-                for i in range(cfg.n_seeds)
-            ]
-        )
-        counts = (int(c[0]) for c in _tally(outcome, np.zeros_like(outcome), 1))
-        rows.append(MatrixRow(scen.behavior, dconf.scan_settings.scan_interval.seconds, *counts))
+        counts = sum(_tally(s.outcome, 0, 1)[0] for s in _replica_samples(scen))
+        interval_s = detector_config(scen).scan_settings.scan_interval.seconds
+        rows.append(MatrixRow(scen.behavior, interval_s, *counts.tolist()))
     return MatrixResult(rows=tuple(rows))
 
 

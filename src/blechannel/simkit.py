@@ -347,16 +347,17 @@ class RapidToggle(ScannerBehavior):
     def windows(self, settings, epochs, rng):
         out = []
         for start, end in epochs:
-            ch = CH37
+            walk = _random_walk(rng)
             cursor = start.ns
             while cursor < end.ns:
+                ch = next(walk)
                 dur = rng.randrange(self.min_window.ns, self.max_window.ns + 1)
                 we = min(cursor + dur, end.ns)
                 out.append(
                     ScanWindow(TimeInstant(cursor, RADIO_CLOCK), TimeInstant(we, RADIO_CLOCK), ch)
                 )
-                ch = rng.choice([c for c in _ALL_CHANNELS if c != ch])
                 cursor = we
+            next(walk)  # the channel after an epoch's last window is drawn too
         return out
 
 
@@ -551,19 +552,12 @@ class RssiModel:
         )
 
     def reader(self, rng: random.Random):
-        """``read(channel, distance_m)``: the exact prediction plus one shadowing draw.
-
-        The prediction is made once per channel and distance.
-        """
+        """``read(channel, distance_m)``: the exact prediction plus one shadowing draw."""
         predict, gauss = self.to_calibration().predict_rssi, rng.gauss
         sigma = self.shadow_sigma_db
-        levels = {c: {} for c in ADVERTISING_CHANNELS}
 
         def read(channel: Channel, distance_m: float) -> float:
-            known = levels[channel.id]
-            level = known.get(distance_m)
-            if level is None:
-                level = known[distance_m] = predict(channel, distance_m)
+            level = predict(channel, distance_m)
             if sigma > 0:
                 level += gauss(0.0, sigma)
             return level
@@ -746,9 +740,14 @@ def attach_rssi(
     The readings and the final ``rng`` state are those of ``model.reader(rng)``
     called once per packet in packet order: one prediction per channel and
     device, plus one shadowing draw per packet (see :func:`_gauss_draws`).
-    A device without a distance is refused before anything is drawn.
+    A packet without an advertising channel, or a device without a
+    distance, is refused before anything is drawn.
     """
     packets = Packets.of(packets)
+    unknown = ~np.isin(packets.channel, ADVERTISING_CHANNELS)
+    if unknown.any():
+        dev = packets.device[np.argmax(unknown)]
+        raise ConfigError(f"no advertising channel for a packet of {packets.device_ids[dev]!r}")
     where = [distances.get(d) for d in packets.device_ids]
     missing = np.array([d is None for d in where], bool)[packets.device]
     if missing.any():

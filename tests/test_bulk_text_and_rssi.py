@@ -503,3 +503,23 @@ def test_missing_distance_is_refused_before_any_draw():
             attach(packets, model, {"d0": 1.0}, rng)
     assert bulk.getstate() == random.Random(5).getstate()
     assert loop.getstate() != bulk.getstate()
+
+
+def test_packet_without_a_channel_is_refused_before_any_draw():
+    """Channel 0, as a blank true_channel parses, has no level to predict."""
+    one = Packets(
+        recv_ns=np.zeros(1, np.int64),
+        device=np.zeros(1, np.intp),
+        device_ids=("d0",),
+        channel=np.zeros(1, np.int64),
+        window_index=np.full(1, -1, np.int64),
+    )
+    header = f"{TRACE_MAGIC}\n# ts_ns=10 ds_ns=10 behavior=compliant seed=0\n{TRACE_COLUMNS}\n"
+    parsed = trace_from_text(header + "5,d1,38,\n7,d2,,\n").packets
+    model = RssiModel(shadow_sigma_db=2.0)
+    for packets, device in ((one, "d0"), (parsed, "d2")):
+        rng = random.Random(5)
+        message = f"^no advertising channel for a packet of '{device}'$"
+        with pytest.raises(ConfigError, match=message):
+            attach_rssi(packets, model, dict.fromkeys(DEVICES, 1.0), rng)
+        assert rng.getstate() == random.Random(5).getstate()

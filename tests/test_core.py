@@ -142,3 +142,75 @@ def test_frequency_table_is_complete():
 def test_time_instant_equality_is_clock_sensitive():
     assert app_instant(1.0) == TimeInstant(1_000_000_000, "app")
     assert app_instant(1.0) != radio_instant(1.0)
+
+
+def test_public_names_are_pinned():
+    import blechannel
+
+    assert tuple(blechannel.__all__) == (
+        "ADVERTISING_CHANNELS",
+        "APP_CLOCK",
+        "AccuracyBucket",
+        "AccuracyCurve",
+        "AdvSettings",
+        "AdvertisingEvent",
+        "AndroidMode",
+        "CHANNEL_FREQ_HZ",
+        "CalibrationModel",
+        "Channel",
+        "ClassKind",
+        "Classification",
+        "ClassifiedPacket",
+        "ClockMismatchError",
+        "ClockModel",
+        "ConfigError",
+        "DetectorConfig",
+        "DetectorSession",
+        "Duration",
+        "EstimatorComparison",
+        "ExperimentConfig",
+        "FitError",
+        "LossModel",
+        "MatrixResult",
+        "MatrixRow",
+        "NoDataError",
+        "PacketRecord",
+        "RADIO_CLOCK",
+        "RadioLink",
+        "RangingResult",
+        "RangingSample",
+        "RssiModel",
+        "ScanSettings",
+        "ScanWindow",
+        "ScannerBehavior",
+        "TimeInstant",
+        "TraceFile",
+        "TraceOrderError",
+        "TraceParseError",
+        "attach_rssi",
+        "balanced_average",
+        "behavior_from_tag",
+        "build_accuracy_curve",
+        "calibrate",
+        "channel_frequency",
+        "classify_time",
+        "classify_trace",
+        "compare_estimators",
+        "estimate_distance",
+        "friis_rx_power",
+        "gen_advertising",
+        "gen_scan_windows",
+        "next_channel",
+        "path_loss_db",
+        "preset_settings",
+        "read_trace",
+        "run_accuracy_experiment",
+        "run_compatibility_matrix",
+        "run_ranging_experiment",
+        "session_on_packet",
+        "session_on_tick",
+        "simulate_reception",
+        "simulate_scenario",
+        "substream",
+        "write_trace",
+    )

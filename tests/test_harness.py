@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from blechannel.harness import (
     AccuracyBucket,
     AccuracyCurve,
     ExperimentConfig,
+    MatrixRow,
     TraceFile,
     build_accuracy_curve,
     classification_samples,
@@ -22,7 +24,7 @@ from blechannel.harness import (
     read_samples_csv,
     read_trace,
     run_accuracy_experiment,
-    scenario_behavior,
+    run_compatibility_matrix,
     simulate_scenario,
     trace_from_text,
     trace_to_text,
@@ -340,9 +342,9 @@ def test_simulate_scenario_rejects_bad_modes():
 
 def test_detector_config_tracks_effective_settings():
     cfg = dataclasses.replace(SHORT, behavior="alt-interval", alt_interval_s=5.0)
-    dconf = detector_config(cfg, scenario_behavior(cfg))
+    dconf = detector_config(cfg)
     assert dconf.scan_settings.scan_interval == Duration.from_seconds(5.0)
-    plain = detector_config(SHORT, scenario_behavior(SHORT))
+    plain = detector_config(SHORT)
     assert plain.scan_settings.scan_interval == Duration.from_seconds(4.096)
 
 
@@ -499,7 +501,7 @@ def test_window_cap_is_exact_and_ranging_fields_are_checked():
 
 def test_columnar_samples_bucket_like_pairs():
     trace = simulate_scenario(dataclasses.replace(SHORT, drift_rate=-3e-3), seed=1)
-    dconf = detector_config(SHORT, scenario_behavior(SHORT))
+    dconf = detector_config(SHORT)
     samples = classification_samples(trace, dconf)
     assert samples.elapsed_s.max() >= SHORT.duration_s  # some fall past the horizon
     labels = [None, False, True]
@@ -548,3 +550,58 @@ def test_trace_text_round_trip_is_byte_stable(
     back = trace_from_text(text)
     assert len(back.packets) == len(trace.packets)
     assert trace_to_text(back) == text
+
+
+def reference_accuracy_experiment(cfg):
+    """One curve per replica, pooled with ``AccuracyCurve.merge``."""
+    dconf = detector_config(cfg)
+    curves = []
+    for i in range(cfg.n_seeds):
+        samples = classification_samples(simulate_scenario(cfg, cfg.seed + i), dconf)
+        curves.append(build_accuracy_curve(samples, cfg.bucket_s, cfg.duration_s))
+    return AccuracyCurve.merge(curves)
+
+
+def reference_matrix_row(cfg, behavior):
+    """Every replica's outcomes joined, then counted."""
+    scen = dataclasses.replace(cfg, behavior=behavior)
+    dconf = detector_config(scen)
+    outcome = np.concatenate(
+        [
+            classification_samples(simulate_scenario(scen, cfg.seed + i), dconf).outcome
+            for i in range(cfg.n_seeds)
+        ]
+    )
+    return MatrixRow(
+        behavior,
+        dconf.scan_settings.scan_interval.seconds,
+        n_classified=int(np.count_nonzero(outcome >= 0)),
+        n_correct=int(np.count_nonzero(outcome == 1)),
+        n_unclassified=int(np.count_nonzero(outcome == -1)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n_seeds=st.integers(1, 3),
+    duration_s=st.floats(1.0, 40.0),
+    bucket_s=st.floats(0.25, 45.0),
+    drift_rate=st.sampled_from([0.0, 5e-5, 2e-4, -3e-3]),
+    restart_every_s=st.sampled_from([0.0, 3.0, 11.5]),
+)
+def test_pooled_experiments_match_the_per_replica_path(
+    seed, n_seeds, duration_s, bucket_s, drift_rate, restart_every_s
+):
+    cfg = dataclasses.replace(
+        SHORT,
+        seed=seed,
+        n_seeds=n_seeds,
+        duration_s=duration_s,
+        bucket_s=bucket_s,
+        drift_rate=drift_rate,
+        restart_every_s=restart_every_s,
+    )
+    assert run_accuracy_experiment(cfg) == reference_accuracy_experiment(cfg)
+    rows = run_compatibility_matrix(cfg).rows
+    assert rows == tuple(reference_matrix_row(cfg, tag) for tag in MATRIX_BEHAVIORS)

@@ -150,6 +150,32 @@ def test_rapid_toggle_windows_are_contiguous_short_and_hopping():
     assert windows[-1].end.ns == 30_000_000_000
 
 
+def reference_rapid_toggle(behavior, epochs, rng):
+    """Each next channel drawn from the other two after every window, the last included."""
+    out = []
+    for start, end in epochs:
+        ch, cursor = Channel.of(37), start.ns
+        while cursor < end.ns:
+            dur = rng.randrange(behavior.min_window.ns, behavior.max_window.ns + 1)
+            we = min(cursor + dur, end.ns)
+            out.append((cursor, we, ch.id))
+            ch = rng.choice([c for c in (Channel.of(i) for i in (37, 38, 39)) if c != ch])
+            cursor = we
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32), bounds=st.lists(st.floats(0.0, 3.0), max_size=6))
+def test_rapid_toggle_draws_like_its_reference(seed, bounds):
+    behavior = RapidToggle()
+    edges = sorted(bounds)
+    epochs = epochs_s(*zip(edges, edges[1:]))
+    rng, ref_rng = substream(seed, "w"), substream(seed, "w")
+    got = [(w.start.ns, w.end.ns, w.channel.id) for w in behavior.windows(LOW_LATENCY, epochs, rng)]
+    assert got == reference_rapid_toggle(behavior, epochs, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+
+
 def test_rapid_toggle_validates_window_bounds():
     with pytest.raises(ConfigError):
         RapidToggle(min_window=Duration(0), max_window=Duration(1))
