@@ -516,26 +516,28 @@ def _curve(edges, counts) -> AccuracyCurve:
     return AccuracyCurve(tuple(AccuracyBucket(s, e, *c) for (s, e), c in zip(edges, counts)))
 
 
-def _edges(bucket_s: float, horizon_s: float) -> list[tuple[float, float]]:
-    n = _bucket_count(bucket_s, horizon_s)
-    return [(i * bucket_s, min((i + 1) * bucket_s, horizon_s)) for i in range(n)]
-
-
 def build_accuracy_curve(samples, bucket_s: float, horizon_s: float) -> AccuracyCurve:
-    """Bucket :class:`Samples`, or (elapsed_seconds, outcome) pairs.
+    """Bucket :class:`Samples`, an iterable of them, or (elapsed_seconds, outcome) pairs.
 
-    A pair's ``outcome`` is True for a correct channel, False for a wrong
-    one and None for unclassified.  Samples outside [0, horizon) are
-    dropped.
+    An iterable of Samples is pooled one at a time, so a generator of
+    replicas never has two of them alive.  A pair's ``outcome`` is True for
+    a correct channel, False for a wrong one and None for unclassified.
+    Samples outside [0, horizon) are dropped.
     """
-    edges = _edges(bucket_s, horizon_s)
-    if not isinstance(samples, Samples):
-        pairs = list(samples)
-        samples = Samples(
-            np.array([e for e, _ in pairs], np.float64),
-            np.array([-1 if o is None else int(bool(o)) for _, o in pairs], np.int64),
-        )
-    return _curve(edges, _bucketed(samples, bucket_s, horizon_s).tolist())
+    n = _bucket_count(bucket_s, horizon_s)
+    counts = np.zeros((n, 3), np.int64)
+    pairs = []
+    for item in [samples] if isinstance(samples, Samples) else samples:
+        if isinstance(item, Samples):
+            counts += _bucketed(item, bucket_s, horizon_s)
+        else:
+            e, o = item
+            pairs.append((e, -1 if o is None else int(bool(o))))
+        del item  # drop this replica before the next one is drawn
+    pairs = np.array(pairs, np.float64).reshape(-1, 2)
+    counts += _bucketed(Samples(pairs[:, 0], pairs[:, 1].astype(np.int64)), bucket_s, horizon_s)
+    edges = [(i * bucket_s, min((i + 1) * bucket_s, horizon_s)) for i in range(n)]
+    return _curve(edges, counts.tolist())
 
 
 MATRIX_BEHAVIORS = tuple(BEHAVIOR_TAGS)
@@ -784,18 +786,17 @@ def classification_samples(trace: TraceFile, dconf: DetectorConfig) -> Samples:
     )
 
 
-def _replica_samples(cfg: ExperimentConfig):
+def _replica_samples(cfg: ExperimentConfig, dconf: DetectorConfig):
     """Each replica's :class:`Samples`, seed by seed: the experiments' one replica
     loop, which simulates a replica only once the one before it is consumed."""
-    dconf = detector_config(cfg.validate())
     for i in range(cfg.n_seeds):
         yield classification_samples(simulate_scenario(cfg, cfg.seed + i), dconf)
 
 
 def run_accuracy_experiment(cfg: ExperimentConfig) -> AccuracyCurve:
     """Accuracy over elapsed scan time, pooled over ``n_seeds`` replicas."""
-    counts = sum(_bucketed(s, cfg.bucket_s, cfg.duration_s) for s in _replica_samples(cfg))
-    return _curve(_edges(cfg.bucket_s, cfg.duration_s), counts.tolist())
+    replicas = _replica_samples(cfg, detector_config(cfg.validate()))
+    return build_accuracy_curve(replicas, cfg.bucket_s, cfg.duration_s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -855,9 +856,12 @@ def run_compatibility_matrix(cfg: ExperimentConfig) -> MatrixResult:
     scens = [dataclasses.replace(cfg, behavior=tag).validate() for tag in MATRIX_BEHAVIORS]
     rows = []
     for scen in scens:
-        # Every packet counts, whatever its elapsed time.
-        counts = sum(_tally(s.outcome, 0, 1)[0] for s in _replica_samples(scen))
-        interval_s = detector_config(scen).scan_settings.scan_interval.seconds
+        dconf = detector_config(scen)
+        counts = np.zeros(3, np.int64)
+        for s in _replica_samples(scen, dconf):
+            counts += _tally(s.outcome, 0, 1)[0]  # every packet, whatever its elapsed time
+            del s  # drop this replica before the next one is drawn
+        interval_s = dconf.scan_settings.scan_interval.seconds
         rows.append(MatrixRow(scen.behavior, interval_s, *counts.tolist()))
     return MatrixResult(rows=tuple(rows))
 

@@ -558,9 +558,7 @@ class RssiModel:
 
         def read(channel: Channel, distance_m: float) -> float:
             level = predict(channel, distance_m)
-            if sigma > 0:
-                level += gauss(0.0, sigma)
-            return level
+            return level + gauss(0.0, sigma) if sigma > 0 else level
 
         return read
 

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blechannel import harness
 from blechannel.core import APP_CLOCK, Channel, Duration, TimeInstant
 from blechannel.errors import ConfigError, NoDataError, TraceOrderError, TraceParseError
 from blechannel.harness import (
@@ -605,3 +607,24 @@ def test_pooled_experiments_match_the_per_replica_path(
     assert run_accuracy_experiment(cfg) == reference_accuracy_experiment(cfg)
     rows = run_compatibility_matrix(cfg).rows
     assert rows == tuple(reference_matrix_row(cfg, tag) for tag in MATRIX_BEHAVIORS)
+
+
+def test_replicas_are_dropped_before_the_next_is_simulated(monkeypatch):
+    """Each experiment holds one replica's Samples at a time."""
+    alive = []
+
+    def simulate(cfg, seed, *args, **kwargs):
+        assert [ref for ref in alive if ref() is not None] == []
+        return simulate_scenario(cfg, seed, *args, **kwargs)
+
+    def samples(trace, dconf):
+        s = classification_samples(trace, dconf)
+        alive.extend([weakref.ref(s.elapsed_s), weakref.ref(s.outcome)])
+        return s
+
+    monkeypatch.setattr(harness, "simulate_scenario", simulate)
+    monkeypatch.setattr(harness, "classification_samples", samples)
+    cfg = dataclasses.replace(SHORT, duration_s=20.0, bucket_s=5.0, n_seeds=3)
+    run_accuracy_experiment(cfg)
+    run_compatibility_matrix(cfg)
+    assert len(alive) == 2 * cfg.n_seeds * (1 + len(MATRIX_BEHAVIORS))
