@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -140,12 +141,18 @@ def cmd_ranging(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.exponent is not None and not 0 < args.exponent < math.inf:
+        raise ConfigError(f"--exponent must be finite and positive, got {args.exponent!r}")
     samples = read_samples_csv(args.infile)
-    model = ranging.calibrate(
-        samples,
-        path_loss_exponent=args.exponent,
-        channel_aware=not args.agnostic,
-    )
+    with np.errstate(all="ignore"):  # a fit that overflows is refused below
+        model = ranging.calibrate(
+            samples,
+            path_loss_exponent=args.exponent,
+            channel_aware=not args.agnostic,
+        )
+    values = (model.intercept_dbm, model.path_loss_exponent, *model.channel_offset_db)
+    if not all(map(math.isfinite, values)):
+        raise FitError("fitted model is not finite")
     if args.out:
         write_text(args.out, model.to_text())
         print(f"wrote {args.out}")

@@ -190,110 +190,68 @@ def _table_rows(text: str, columns: str, message: str):
 _CHANNEL_CELLS = {"": 0, **{str(c): c for c in CHANNEL_FREQ_HZ}}
 
 
-def _trace_columns(lines: list[str], first: int, has_est: bool):
-    """The columns of the rows ``lines[first:]`` of a regular trace, or None.
+def _channel_cell(cell: str) -> int | None:
+    """A ``true_channel`` cell as ``int`` reads it: 37-39, 0 if blank, else None."""
+    try:
+        ch = int(cell) if cell else 0
+    except ValueError:
+        return None
+    return ch if not cell or ch in CHANNEL_FREQ_HZ else None
 
-    Regular: no blank or padded line, the right number of fields on every
-    line, every cell as the writer writes it or as ``int``/``float`` read
-    it, times that never move backwards, and each block of rows with RSSI
-    in every cell or in none.  Each check runs once per column of a block;
-    on None :func:`_trace_rows` reads the trace and names the bad line.
+
+def _trace_block(block: list[str], lineno: int, has_est: bool, device_ids: dict, prev):
+    """The columns of ``block``, stripped non-blank trace rows from file line
+    ``lineno`` on, after a row at time ``prev`` (None at the first row).
+
+    New device ids go into ``device_ids``.  Each check runs once per column,
+    in the field order of a row, so a one-row block raises exactly that
+    row's error; in a longer block an error only says that some row is bad.
     """
     n_fields = 5 if has_est else 4
-    recv, device, channel = [np.zeros(0, np.int64)], [np.zeros(0, np.intp)], []
-    rssi, est, device_ids = [], [], {}
-    for start in range(first, len(lines), _TEXT_BLOCK):
-        block = lines[start : start + _TEXT_BLOCK]
-        if set(map(str.count, block, repeat(","))) != {n_fields - 1}:
-            return None
-        if list(map(str.strip, block)) != block:
-            return None
-        cells = ",".join(block).split(",")
-        times, names, channels, readings = (cells[k::n_fields] for k in range(4))
-        try:
-            recv.append(np.array(list(map(int, times)), np.int64))
-        except (ValueError, OverflowError):
-            return None
-        for name in dict.fromkeys(names):
-            if name not in device_ids:
-                if not _DEVICE_ID.fullmatch(name):
-                    return None
-                device_ids[name] = len(device_ids)
-        device.append(np.fromiter(map(device_ids.__getitem__, names), np.intp, len(names)))
-        channels = list(map(_CHANNEL_CELLS.get, channels))
-        if None in channels:
-            return None
-        channel += channels
-        if readings.count("") == len(readings):
-            rssi += repeat(None, len(readings))
-        else:
-            try:
-                rssi += map(float, readings)
-            except ValueError:
-                return None
-        if has_est:
-            labels = cells[4::n_fields]
-            if not EST_LABELS.issuperset(labels):
-                return None
-            est += labels
-    recv = np.concatenate(recv)
+    if set(map(str.count, block, repeat(","))) != {n_fields - 1}:
+        raise TraceParseError(f"expected {n_fields} fields", line=lineno)
+    cells = ",".join(block).split(",")
+    try:
+        recv = np.array(list(map(int, cells[0::n_fields])), np.int64)
+    except ValueError as exc:
+        raise TraceParseError("recv_time_ns must be an integer", line=lineno) from exc
+    except OverflowError as exc:
+        raise TraceParseError("recv_time_ns out of the int64 range", line=lineno) from exc
     # compared, not differenced: the difference of two int64 times can wrap
-    if np.any(recv[1:] < recv[:-1]):
-        return None
-    return (
-        recv,
-        np.concatenate(device),
-        tuple(device_ids),
-        np.array(channel, np.int64),
-        rssi,
-        tuple(est) if has_est else None,
-    )
-
-
-def _trace_rows(lines: list[str], first: int, has_est: bool):
-    """:func:`_trace_columns` row by row, for any trace: it skips blank lines,
-    strips padding and leaves a blank RSSI cell None, and raises the
-    TraceParseError or TraceOrderError of the first bad line."""
-    recv, device, channel, rssi, est = [], [], [], [], []
-    device_ids: dict[str, int] = {}
-    for lineno, parts in _csv_rows(lines, first, 5 if has_est else 4):
+    if (prev is not None and recv[0] < prev) or (recv[1:] < recv[:-1]).any():
+        raise TraceOrderError(f"line {lineno}: timestamps moved backwards")
+    names = cells[1::n_fields]
+    for name in dict.fromkeys(names):
+        if name not in device_ids:
+            if not _DEVICE_ID.fullmatch(name):
+                raise TraceParseError(f"bad device id {name!r}", line=lineno)
+            device_ids[name] = len(device_ids)
+    device = np.fromiter(map(device_ids.__getitem__, names), np.intp, len(names))
+    channel_cells = cells[2::n_fields]
+    channel = list(map(_CHANNEL_CELLS.get, channel_cells))
+    if None in channel:  # cells such as "037", "+37" or " 39", or a bad one
+        channel = list(map(_channel_cell, channel_cells))
+        if None in channel:
+            bad = channel_cells[channel.index(None)]
+            raise TraceParseError(f"bad true_channel {bad!r}", line=lineno)
+    readings = cells[3::n_fields]
+    if readings.count("") == len(readings):
+        rssi = [None] * len(readings)
+    else:
         try:
-            recv_ns = int(parts[0])
-        except ValueError as exc:
-            raise TraceParseError("recv_time_ns must be an integer", line=lineno) from exc
-        if not _INT64_MIN <= recv_ns <= _INT64_MAX:
-            raise TraceParseError("recv_time_ns out of the int64 range", line=lineno)
-        if recv and recv_ns < recv[-1]:
-            raise TraceOrderError(f"line {lineno}: timestamps moved backwards")
-        recv.append(recv_ns)
-        if parts[1] not in device_ids:
-            if not _DEVICE_ID.fullmatch(parts[1]):
-                raise TraceParseError(f"bad device id {parts[1]!r}", line=lineno)
-            device_ids[parts[1]] = len(device_ids)
-        device.append(device_ids[parts[1]])
-        try:
-            ch = int(parts[2]) if parts[2] else 0
-        except ValueError:
-            ch = -1
-        if parts[2] and ch not in CHANNEL_FREQ_HZ:
-            raise TraceParseError(f"bad true_channel {parts[2]!r}", line=lineno)
-        channel.append(ch)
-        try:
-            rssi.append(float(parts[3]) if parts[3] else None)
-        except ValueError as exc:
-            raise TraceParseError(f"bad rssi_dbm {parts[3]!r}", line=lineno) from exc
-        if has_est:
-            if parts[4] not in EST_LABELS:
-                raise TraceParseError(f"bad est_channel {parts[4]!r}", line=lineno)
-            est.append(parts[4])
-    return (
-        np.array(recv, np.int64),
-        np.array(device, np.intp),
-        tuple(device_ids),
-        np.array(channel, np.int64),
-        rssi,
-        tuple(est) if has_est else None,
-    )
+            rssi = list(map(float, readings))
+        except ValueError:  # blank cells among the readings, or a bad one
+            rssi = []
+            for r in readings:
+                try:
+                    rssi.append(float(r) if r else None)
+                except ValueError as exc:
+                    raise TraceParseError(f"bad rssi_dbm {r!r}", line=lineno) from exc
+    est = cells[4::n_fields] if has_est else []
+    if not EST_LABELS.issuperset(est):
+        bad = next(e for e in est if e not in EST_LABELS)
+        raise TraceParseError(f"bad est_channel {bad!r}", line=lineno)
+    return recv, device, channel, rssi, est
 
 
 def trace_from_text(text: str) -> TraceFile:
@@ -343,16 +301,35 @@ def trace_from_text(text: str) -> TraceFile:
     else:
         raise TraceParseError(f"unexpected columns {header!r}", line=i + 1)
 
-    recv, device, device_ids, channel, rssi, est = (
-        _trace_columns(lines, i + 1, has_est) or _trace_rows(lines, i + 1, has_est)
-    )
+    # Padding stripped and blank lines dropped once, each row keeping its
+    # 1-based file line; then _TEXT_BLOCK rows at a time.  A block that fails
+    # is read again one row at a time, so the error names the first bad line.
+    body = lines[i + 1 :]
+    rows = list(filter(None, map(str.strip, body)))
+    linenos = range(i + 2, len(lines) + 1)
+    if len(rows) < len(body):
+        linenos = [n for n, line in zip(linenos, body) if line.strip()]
+    blocks = [(np.zeros(0, np.int64), np.zeros(0, np.intp), [], [], [])]
+    device_ids: dict[str, int] = {}
+    prev = None
+    for start in range(0, len(rows), _TEXT_BLOCK):
+        block = rows[start : start + _TEXT_BLOCK]
+        try:
+            blocks.append(_trace_block(block, linenos[start], has_est, device_ids, prev))
+        except (TraceParseError, TraceOrderError):
+            for k in range(start, start + len(block)):  # the first bad row raises
+                prev = _trace_block(rows[k : k + 1], linenos[k], has_est, device_ids, prev)[0][0]
+            raise
+        prev = blocks[-1][0][-1]
+    recv, device, channel, rssi, est = zip(*blocks)
+    recv = np.concatenate(recv)
     packets = Packets(
         recv_ns=recv,
-        device=device,
-        device_ids=device_ids,
-        channel=channel,
+        device=np.concatenate(device),
+        device_ids=tuple(device_ids),
+        channel=np.array(list(chain.from_iterable(channel)), np.int64),
         window_index=np.full(len(recv), -1, np.int64),
-        rssi_dbm=rssi,
+        rssi_dbm=list(chain.from_iterable(rssi)),
     )
     return TraceFile(
         scan_interval_ns=scan_interval_ns,
@@ -361,7 +338,7 @@ def trace_from_text(text: str) -> TraceFile:
         seed=seed,
         restarts_ns=restarts,
         packets=packets,
-        est_labels=est,
+        est_labels=tuple(chain.from_iterable(est)) if has_est else None,
     )
 
 
@@ -852,11 +829,11 @@ def run_compatibility_matrix(cfg: ExperimentConfig) -> MatrixResult:
     question each row answers is whether arrival times then identify the
     channel at all.
     """
-    # every row is checked up front, so no row runs when a later one cannot
+    # every row and its detector settings are checked up front, so no row
+    # runs when a later one cannot
     scens = [dataclasses.replace(cfg, behavior=tag).validate() for tag in MATRIX_BEHAVIORS]
     rows = []
-    for scen in scens:
-        dconf = detector_config(scen)
+    for scen, dconf in [(scen, detector_config(scen)) for scen in scens]:
         counts = np.zeros(3, np.int64)
         for s in _replica_samples(scen, dconf):
             counts += _tally(s.outcome, 0, 1)[0]  # every packet, whatever its elapsed time

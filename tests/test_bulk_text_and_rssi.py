@@ -377,9 +377,16 @@ def test_errors_past_the_first_block_name_their_line():
     assert text == reference_trace_to_text(trace)
     assert outcome(trace_from_text, text) == outcome(reference_trace_from_text, text)
     lines = text.splitlines()
-    row = 3 + harness._TEXT_BLOCK  # the first row of the second block
+    # a blank line and a padded row inside the first block move the first
+    # row of the second block one file line down
+    irregular = lines[:10] + ["", " " + lines[10] + "\t"] + lines[11:]
+    irregular_text = "\n".join(irregular) + "\n"
+    assert outcome(trace_from_text, irregular_text) == outcome(trace_from_text, text)
+    assert outcome(trace_from_text, irregular_text) == outcome(
+        reference_trace_from_text, irregular_text
+    )
 
-    def parse_with(row, first_cell):
+    def parse_with(lines, row, first_cell):
         bad = list(lines)
         bad[row] = first_cell + bad[row][bad[row].index(",") :]
         text = "\n".join(bad) + "\n"
@@ -387,10 +394,11 @@ def test_errors_past_the_first_block_name_their_line():
         assert got == outcome(reference_trace_from_text, text)
         return got
 
-    assert parse_with(len(lines) - 1, "x")[::2] == (TraceParseError, len(lines))
-    assert parse_with(row, "0")[:2] == (
-        TraceOrderError, f"line {row + 1}: timestamps moved backwards"
-    )
+    for copy, row in ((lines, 3 + harness._TEXT_BLOCK), (irregular, 4 + harness._TEXT_BLOCK)):
+        assert parse_with(copy, len(copy) - 1, "x")[::2] == (TraceParseError, len(copy))
+        assert parse_with(copy, row, "0")[:2] == (
+            TraceOrderError, f"line {row + 1}: timestamps moved backwards"
+        )
 
 
 def test_backwards_times_whose_difference_overflows():
@@ -404,18 +412,21 @@ def test_backwards_times_whose_difference_overflows():
 
 
 @pytest.mark.parametrize("with_rssi", [False, True])
-def test_written_traces_take_the_column_path(with_rssi):
+def test_written_traces_are_read_a_block_at_a_time(with_rssi):
     trace = simulate_scenario(ExperimentConfig(duration_s=60.0), 4, with_rssi=with_rssi)
     for labelled in (trace, with_labels(trace, ["37", "guard", "38"])):
         lines = trace_to_text(labelled).splitlines()
-        has_est = labelled.est_labels is not None
-        assert harness._trace_columns(lines, 3, has_est) is not None
-        # an irregular line sends the whole trace to the row loop, same result
-        irregular = lines[:9] + [""] + lines[9:]
-        assert harness._trace_columns(irregular, 3, has_est) is None
-        assert outcome(trace_from_text, "\n".join(irregular)) == outcome(
-            trace_from_text, "\n".join(lines)
-        )
+        n, block = len(labelled.packets), harness._TEXT_BLOCK
+        assert n > 2 * block
+        sizes = [block] * (n // block) + [n % block] * (n % block > 0)
+        # a blank line in the body gives the same blocks and the same outcome
+        outcomes = []
+        for body in (lines, lines[:9] + [""] + lines[9:]):
+            with mock.patch.object(harness, "_trace_block", wraps=harness._trace_block) as spy:
+                outcomes.append(outcome(trace_from_text, "\n".join(body)))
+            assert [len(call.args[0]) for call in spy.call_args_list] == sizes
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0][0], dict)
 
 
 @st.composite

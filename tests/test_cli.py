@@ -101,6 +101,33 @@ def test_calibrate_recovers_known_model(tmp_path, capsys):
     assert "exponent 2.5000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "exponent,code,message",
+    [
+        ("nan", 2, "--exponent must be finite and positive, got nan"),
+        ("inf", 2, "--exponent must be finite and positive, got inf"),
+        ("0", 2, "--exponent must be finite and positive, got 0.0"),
+        ("-2", 2, "--exponent must be finite and positive, got -2.0"),
+        ("1e308", 1, "fitted model is not finite"),
+    ],
+)
+def test_an_unusable_exponent_writes_no_model(tmp_path, capsys, exponent, code, message):
+    csv_path = tmp_path / "samples.csv"
+    write_samples_csv(
+        str(csv_path),
+        [RangingSample(Channel.of(c), d, -40.0 - d) for c in (37, 38, 39) for d in (1.0, 2.0)],
+    )
+    # a flag refused as a usage error is refused before the samples are read
+    infile = csv_path if code == 1 else tmp_path / "missing.csv"
+    model_path = tmp_path / "fit.txt"
+    started = time.perf_counter()
+    argv = ["calibrate", "--in", str(infile), "--exponent", exponent, "--out", str(model_path)]
+    assert run(argv) == code
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("row", ["37,inf,-50.0", "38,2.0,nan", "39,-2.0,-50.0"])
 def test_unusable_samples_are_a_data_error_naming_the_line(tmp_path, capsys, row):
     csv_path = tmp_path / "samples.csv"
@@ -308,6 +335,7 @@ def test_every_experiment_command_validates_its_config(tmp_path, capsys, command
             "n_advertisers = 0\nduration_s = 8e6\nbucket_s = 100",
             "more than 10000000 scan windows per replica",
         ),
+        ("matrix", "alt_interval_s = 0.1", "guard must be non-negative and below the scan interval"),
     ],
 )
 def test_config_faults_refuse_before_any_draw(
