@@ -572,7 +572,8 @@ class ExperimentConfig:
         ``MAX_BUCKETS``, ``MAX_RESTARTS``, ``MAX_EVENTS``, ``MAX_WINDOWS``
         and ``MAX_TIME_NS``, and that the ranging experiment has enough
         samples, a positive path-loss exponent and a usable distance range.
-        Returns the config.
+        The RSSI model must build, and its dB figures must be finite and
+        within ``MAX_SAMPLE_RSSI_DBM`` of zero.  Returns the config.
         """
         if self.n_advertisers < 0:
             raise ConfigError("n_advertisers must be non-negative")
@@ -605,6 +606,16 @@ class ExperimentConfig:
             raise ConfigError("path_loss_exponent must be positive")
         if not 0 < self.distance_min_m <= self.distance_max_m < math.inf:
             raise ConfigError("need 0 < distance_min_m <= distance_max_m < inf")
+        model = self.rssi_model()
+        for name, value in [
+            ("tx_power_dbm", model.tx_power_dbm),
+            ("antenna_gain_db", model.antenna_gain_db),
+            ("shadow_sigma_db", model.shadow_sigma_db),
+            *(("channel_offsets_db", v) for v in model.channel_offset_db),
+        ]:
+            if not abs(value) <= MAX_SAMPLE_RSSI_DBM:  # nan fails too
+                bound = f"{MAX_SAMPLE_RSSI_DBM:g}"
+                raise ConfigError(f"{name} must be a finite value in [-{bound}, {bound}]")
         return self
 
     def clock_model(self) -> ClockModel:

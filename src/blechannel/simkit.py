@@ -110,22 +110,6 @@ class AdvertisingEvents(ColumnView):
             tuple(src for p in parts for src in p.sources),
         )
 
-    def beacons(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(transmit ns, channel id, source) of every beacon.
-
-        Beacons come in event order and, within an event, in channel order,
-        ``INTER_BEACON_GAP`` apart, as :meth:`AdvertisingEvent.beacons` has them.
-        """
-        widths = np.array([len(chs) for _, chs in self.sources], np.intp)
-        ids = np.zeros((len(widths), max(widths, default=0)), np.int64)
-        for s, (_, chs) in enumerate(self.sources):
-            ids[s, : len(chs)] = [c.id for c in chs]
-        n = widths[self.source]
-        src = np.repeat(self.source, n)
-        k = np.arange(len(src)) - np.repeat(np.cumsum(n) - n, n)
-        return np.repeat(self.start_ns, n) + INTER_BEACON_GAP.ns * k, ids[src, k], src
-
-
 @dataclass(frozen=True, slots=True)
 class ScanWindow:
     """Half-open interval [start, end) during which one channel is scanned."""
@@ -649,25 +633,40 @@ def simulate_reception(
     ``events`` is an :class:`AdvertisingEvents` view or any sequence of
     :class:`AdvertisingEvent`.  A beacon is received iff some window covers
     its transmit instant on the matching channel.  Windows must not
-    overlap (ConfigError otherwise): each beacon is matched against the
-    first window that ends after it, found by binary search over the
-    window ends.  Beacons are taken in transmit order (ties keep event
+    overlap (ConfigError otherwise).  One channel slot of all events is
+    matched at a time, by binary search over the bounds of the windows on
+    that slot's channel; a packet's window is the first that ends after
+    it.  Caught beacons are taken in transmit order (ties keep event
     order); one latency is drawn per epoch, then one loss draw per caught
     beacon when loss is on.  The result is sorted by app timestamp, ties
     in transmit order.
     """
     events = AdvertisingEvents.of(events)
-    t, ch, src = events.beacons()
-    order = np.argsort(t, kind="stable")
-    t, ch, src = t[order], ch[order], src[order]
     windows = sorted(windows, key=lambda w: w.start.ns)
     bounds = np.array([(w.start.ns, w.end.ns) for w in windows], np.int64).reshape(-1, 2)
     if np.any(np.diff(bounds.ravel()) < 0):
         raise ConfigError("scan windows must not overlap")
     w_channel = np.array([w.channel.id for w in windows], np.int64)
-    wi = np.searchsorted(bounds[:, 1], t, side="right")
-    hit = np.flatnonzero(wi < len(windows))
-    hit = hit[(bounds[wi[hit], 0] <= t[hit]) & (w_channel[wi[hit]] == ch[hit])]
+    width = max((len(chs) for _, chs in events.sources), default=0)
+    ids = np.zeros((len(events.sources), width), np.int64)  # 0 pads a short list
+    for s, (_, chs) in enumerate(events.sources):
+        ids[s, : len(chs)] = [c.id for c in chs]
+    # Slot k goes out at start + k * gap: inside one of its channel's disjoint
+    # half-open windows iff an odd number of their bounds are at or before it.
+    caught = np.empty((len(events), width), bool)
+    for k in range(width):
+        t = events.start_ns + k * INTER_BEACON_GAP.ns
+        for c in np.unique(ids[:, k]).tolist():
+            edges = bounds[w_channel == c].ravel()
+            mine = slice(None) if (ids[:, k] == c).all() else (ids[:, k] == c)[events.source]
+            caught[mine, k] = np.searchsorted(edges, t[mine], side="right") & 1
+    flat = np.flatnonzero(caught)
+    ev = flat // max(width, 1)
+    k = flat - ev * width  # np.divmod is several times slower
+    t = events.start_ns[ev] + k * INTER_BEACON_GAP.ns
+    # A stable sort of the caught beacons orders them as a stable sort of
+    # every beacon would, so the draws below see the same sequence.
+    hit = np.argsort(t, kind="stable")
     restart_ns = np.array([r.ns for r in restarts], np.int64)
     # One latency draw per epoch, before any loss draws, keeps the stream
     # layout stable when loss settings change.
@@ -678,12 +677,13 @@ def simulate_reception(
     app_ns = clock.to_app_ns(t[hit]) + jitters[epoch]
     order = np.argsort(app_ns, kind="stable")
     hit = hit[order]
+    src = events.source[ev[hit]]
     return Packets(
         recv_ns=app_ns[order],
-        device=src[hit],
+        device=src,
         device_ids=tuple(device_id for device_id, _ in events.sources),
-        channel=ch[hit],
-        window_index=wi[hit],
+        channel=ids[src, k[hit]],
+        window_index=np.searchsorted(bounds[:, 1], t[hit], side="right"),
     )
 
 

@@ -311,6 +311,9 @@ def test_every_experiment_command_validates_its_config(tmp_path, capsys, command
     assert "n_seeds must be positive" in capsys.readouterr().err
 
 
+IN_BOUNDS = "must be a finite value in [-200, 200]"
+
+
 @pytest.mark.parametrize(
     "command,setting,message",
     [
@@ -336,6 +339,15 @@ def test_every_experiment_command_validates_its_config(tmp_path, capsys, command
             "more than 10000000 scan windows per replica",
         ),
         ("matrix", "alt_interval_s = 0.1", "guard must be non-negative and below the scan interval"),
+        ("simulate", "channel_offsets_db = nan,0,0", f"channel_offsets_db {IN_BOUNDS}"),
+        ("simulate", "tx_power_dbm = 1e308", f"tx_power_dbm {IN_BOUNDS}"),
+        ("simulate", "shadow_sigma_db = 1e308", f"shadow_sigma_db {IN_BOUNDS}"),
+        ("ranging", "tx_power_dbm = 1e308", f"tx_power_dbm {IN_BOUNDS}"),
+        ("ranging", "channel_offsets_db = inf,0,0", f"channel_offsets_db {IN_BOUNDS}"),
+        ("ranging", "antenna_gain_db = -200.5", f"antenna_gain_db {IN_BOUNDS}"),
+        ("matrix", "channel_offsets_db = 0,0,1e300", f"channel_offsets_db {IN_BOUNDS}"),
+        ("accuracy", "shadow_sigma_db = -1", "shadow_sigma_db must be non-negative"),
+        ("accuracy", "channel_offsets_db = 1,2", "channel_offsets_db needs exactly three values"),
     ],
 )
 def test_config_faults_refuse_before_any_draw(
@@ -350,13 +362,14 @@ def test_config_faults_refuse_before_any_draw(
     monkeypatch.setattr(harness, "gen_ranging_samples", no_draw)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(setting + "\n", encoding="utf-8")
-    out = ["--out", str(tmp_path / "t.csv")] if command == "simulate" else []
+    out = ["--out", str(tmp_path / "t.csv")] if command in ("simulate", "accuracy") else []
     started = time.perf_counter()
     code = run([command, "--config", str(cfg), *out])
     assert time.perf_counter() - started < 2.0
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_a_channel_missing_by_chance_is_a_data_error(tmp_path, capsys):

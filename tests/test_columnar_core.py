@@ -28,6 +28,8 @@ from blechannel.detector import (
 from blechannel.errors import ConfigError
 from blechannel.simkit import (
     BEHAVIOR_TAGS,
+    INTER_BEACON_GAP,
+    AdvertisingEvent,
     AdvertisingEvents,
     ClockModel,
     LossModel,
@@ -129,6 +131,113 @@ def test_columnar_reception_matches_the_per_beacon_loop(scenario):
     assert list(from_list) == expected
     # the same number of draws was taken from the stream
     assert rng.random() == ref_rng.random() == list_rng.random()
+
+
+def assert_same_reception(events, windows, restarts, clock, loss, seed):
+    """Columns, from a view and from a list, equal the loop; so does the final rng state."""
+    ref_rng, rng, list_rng = (substream(seed, "rx") for _ in range(3))
+    expected = reference_reception(events, windows, restarts, clock, loss, ref_rng)
+    got = simulate_reception(AdvertisingEvents.of(events), windows, restarts, clock, loss, rng)
+    assert list(got) == expected
+    assert list(simulate_reception(events, windows, restarts, clock, loss, list_rng)) == expected
+    assert rng.getstate() == ref_rng.getstate() == list_rng.getstate()
+    return expected
+
+
+GAP = INTER_BEACON_GAP.ns
+CH = {c: Channel.of(c) for c in (37, 38, 39)}
+
+
+@st.composite
+def short_windows(draw):
+    """Windows of 0.1-2 ms, shorter than a beacon burst; many touch the one before."""
+    windows, cursor = [], draw(st.integers(min_value=0, max_value=2_000_000))
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        cursor += draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=2_000_000)))
+        end = cursor + draw(st.integers(min_value=100_000, max_value=2_000_000))
+        channel = CH[draw(st.sampled_from(sorted(CH)))]
+        span = TimeInstant(cursor, RADIO_CLOCK), TimeInstant(end, RADIO_CLOCK)
+        windows.append(ScanWindow(*span, channel))
+        cursor = end
+    return draw(st.permutations(windows))
+
+
+@st.composite
+def edge_events(draw, windows, horizon):
+    """Events that often put a beacon exactly on a window start or end."""
+    edges = sorted({w.start.ns for w in windows} | {w.end.ns for w in windows})
+    on_edge = st.tuples(st.sampled_from(edges), st.integers(min_value=0, max_value=2))
+    starts = st.integers(min_value=0, max_value=horizon)
+    if edges:
+        starts = st.one_of(on_edge.map(lambda e: max(e[0] - e[1] * GAP, 0)), starts)
+    channel_sets = st.sampled_from([(37, 38, 39), (39, 37), (38,), (37, 37, 38)])
+    return [
+        AdvertisingEvent(
+            TimeInstant(draw(starts), RADIO_CLOCK),
+            f"dev{draw(st.integers(min_value=0, max_value=3))}",
+            tuple(CH[c] for c in draw(channel_sets)),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=30)))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reception_on_windows_shorter_than_a_burst_matches_the_loop(data):
+    windows = data.draw(short_windows())
+    horizon = max((w.end.ns for w in windows), default=0) + 2_000_000
+    events = data.draw(edge_events(windows, horizon))
+    later = data.draw(st.sets(st.integers(min_value=1, max_value=horizon), max_size=2))
+    restarts = [TimeInstant(ns, RADIO_CLOCK) for ns in sorted(later | {0})]
+    clock = ClockModel(
+        drift_rate=data.draw(st.sampled_from([0.0, 5e-5])),
+        jitter_range=data.draw(st.sampled_from([(0.0, 0.0), (0.0, 0.001)])),
+    )
+    loss = LossModel(data.draw(st.sampled_from([0.0, 0.3])))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    assert_same_reception(events, windows, restarts, clock, loss, seed)
+
+
+def test_reception_of_no_events_draws_only_the_latencies():
+    window = ScanWindow(radio_instant(0.0), radio_instant(1.0), CH[37])
+    restarts = [radio_instant(0.0), radio_instant(0.5)]
+    clock, loss = ClockModel(jitter_range=(0.0, 0.05)), LossModel(0.3)
+    assert assert_same_reception([], [window], restarts, clock, loss, 3) == []
+
+
+def test_reception_without_windows_catches_nothing():
+    every_100ms = AdvSettings(Duration.from_seconds(0.1))
+    view = gen_advertising(every_100ms, "d", radio_instant(0), radio_instant(1), substream(1, "a"))
+    events = list(view)
+    clock, loss = ClockModel(jitter_range=(0.0, 0.05)), LossModel(0.3)
+    assert assert_same_reception(events, [], [radio_instant(0.0)], clock, loss, 3) == []
+
+
+def test_one_and_three_channel_devices_in_lockstep_tie_in_event_order():
+    # "three" sends 37, 38, 39; "one" sends 37 with it and "late" sends 38
+    # one gap later, so every caught beacon ties with another device's.  A
+    # tie keeps event order, though "late" sends from an earlier slot.
+    every_100ms = AdvSettings(Duration.from_seconds(0.1), rho_max=Duration(0))
+    end = radio_instant(0.55)
+    views = [
+        gen_advertising(every_100ms, dev, start, end, substream(1, dev), channels)
+        for dev, start, channels in [
+            ("three", radio_instant(0), (CH[37], CH[38], CH[39])),
+            ("one", radio_instant(0), (CH[37],)),
+            ("late", TimeInstant(GAP, RADIO_CLOCK), (CH[38],)),
+        ]
+    ]
+    events = [ev for view in views for ev in view]
+    windows = [
+        ScanWindow(radio_instant(m / 10), radio_instant((m + 1) / 10), CH[37 + m % 2])
+        for m in range(6)
+    ]
+    start = [radio_instant(0.0)]
+    packets = assert_same_reception(events, windows, start, ClockModel(), LossModel(), 5)
+    assert [p.device_id for p in packets] == ["three", "one", "three", "late"] * 3
+    assert [p.recv.ns for p in packets[:4]] == [0, 0, 100_000_000 + GAP, 100_000_000 + GAP]
+    lossy = LossModel(0.5)
+    assert_same_reception(events, windows, start, ClockModel(jitter_range=(0.0, 0.01)), lossy, 5)
 
 
 def receive(events, windows):
