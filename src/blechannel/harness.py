@@ -17,7 +17,7 @@ import dataclasses
 import math
 import re
 from collections.abc import Sequence
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -66,6 +66,7 @@ SAMPLES_COLUMNS = "channel,distance_m,rssi_dbm"
 # Largest |rssi_dbm| a samples CSV may hold: far beyond any radio, and far
 # below the readings whose squares overflow the least-squares fit.
 MAX_SAMPLE_RSSI_DBM = 200.0
+_RSSI_BOUNDS = f"[-{MAX_SAMPLE_RSSI_DBM:g}, {MAX_SAMPLE_RSSI_DBM:g}]"
 
 _DEVICE_ID = re.compile(r"[A-Za-z0-9._:-]+")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -92,7 +93,7 @@ class TraceFile:
 
     @property
     def restarts(self) -> tuple[TimeInstant, ...]:
-        return tuple(TimeInstant(ns, APP_CLOCK) for ns in self.restarts_ns)
+        return tuple([TimeInstant(ns, APP_CLOCK) for ns in self.restarts_ns])
 
 
 # Rows that trace_to_text formats, and trace_from_text converts, at a time.
@@ -560,7 +561,7 @@ class ExperimentConfig:
     def channel_list(self) -> tuple[Channel, ...]:
         try:
             ids = [int(v) for v in self.adv_channels.split(",") if v.strip()]
-            return tuple(Channel.of(i) for i in ids)
+            return tuple([Channel.of(i) for i in ids])
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"bad adv_channels {self.adv_channels!r}: {exc}") from exc
 
@@ -572,8 +573,10 @@ class ExperimentConfig:
         ``MAX_BUCKETS``, ``MAX_RESTARTS``, ``MAX_EVENTS``, ``MAX_WINDOWS``
         and ``MAX_TIME_NS``, and that the ranging experiment has enough
         samples, a positive path-loss exponent and a usable distance range.
-        The RSSI model must build, and its dB figures must be finite and
-        within ``MAX_SAMPLE_RSSI_DBM`` of zero.  Returns the config.
+        The RSSI model must build, and its dB figures, and the noise-free
+        level it predicts on each channel at ``distance_min_m`` and
+        ``distance_max_m``, must be finite and within ``MAX_SAMPLE_RSSI_DBM``
+        of zero.  Returns the config.
         """
         if self.n_advertisers < 0:
             raise ConfigError("n_advertisers must be non-negative")
@@ -614,8 +617,13 @@ class ExperimentConfig:
             *(("channel_offsets_db", v) for v in model.channel_offset_db),
         ]:
             if not abs(value) <= MAX_SAMPLE_RSSI_DBM:  # nan fails too
-                bound = f"{MAX_SAMPLE_RSSI_DBM:g}"
-                raise ConfigError(f"{name} must be a finite value in [-{bound}, {bound}]")
+                raise ConfigError(f"{name} must be a finite value in {_RSSI_BOUNDS}")
+        predict = model.to_calibration().predict_rssi
+        for ch, d in product(_ALL_CHANNELS, (self.distance_min_m, self.distance_max_m)):
+            level = predict(ch, d)
+            if not abs(level) <= MAX_SAMPLE_RSSI_DBM:  # nan fails too
+                at = f"on channel {ch.id} at {d:g} m is {level:g} dBm"
+                raise ConfigError(f"predicted RSSI {at}, outside {_RSSI_BOUNDS}")
         return self
 
     def clock_model(self) -> ClockModel:
@@ -748,7 +756,9 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
         scan_window_ns=scan.scan_window.ns,
         behavior_tag=behavior.tag,
         seed=seed,
-        restarts_ns=tuple(r.ns for r in app_anchor_times(restarts, clock)),
+        # From a list: tuple(generator) shrinks a ten-slot tuple, which then piles up on
+        # a free list that only a full gc empties (also for simkit's per-replica tuples).
+        restarts_ns=tuple([r.ns for r in app_anchor_times(restarts, clock)]),
         packets=packets,
     )
 

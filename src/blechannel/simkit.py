@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, replace
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from . import ranging
 from .core import (
     ADVERTISING_CHANNELS,
     APP_CLOCK,
-    CH37,
     CHANNEL_FREQ_HZ,
     RADIO_CLOCK,
     AdvSettings,
@@ -31,7 +32,6 @@ from .core import (
     Duration,
     ScanSettings,
     TimeInstant,
-    next_channel,
 )
 from .errors import ClockMismatchError, ConfigError
 
@@ -41,6 +41,7 @@ from .errors import ClockMismatchError, ConfigError
 INTER_BEACON_GAP = Duration(400_000)
 
 _ALL_CHANNELS = tuple(Channel.of(c) for c in ADVERTISING_CHANNELS)
+_CHANNEL_OF_ID = {0: None, **{c.id: c for c in _ALL_CHANNELS}}
 
 
 def substream(seed: int, tag: str) -> random.Random:
@@ -107,7 +108,7 @@ class AdvertisingEvents(ColumnView):
         return cls(
             np.concatenate([np.zeros(0, np.int64)] + [p.start_ns for p in parts]),
             np.concatenate([np.zeros(0, np.intp)] + [p.source + o for p, o in zip(parts, offsets)]),
-            tuple(src for p in parts for src in p.sources),
+            tuple([src for p in parts for src in p.sources]),
         )
 
 @dataclass(frozen=True, slots=True)
@@ -123,8 +124,53 @@ class ScanWindow:
         return self.end - self.start
 
 
+@dataclass(frozen=True, eq=False)
+class ScanWindows(ColumnView):
+    """Scan windows as columns; items are :class:`ScanWindow`.
+
+    ``start_ns`` and ``end_ns`` hold radio-clock bounds and ``channel``
+    holds channel ids.
+    """
+
+    start_ns: np.ndarray
+    end_ns: np.ndarray
+    channel: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start_ns)
+
+    def _item(self, i: int) -> ScanWindow:
+        return ScanWindow(
+            TimeInstant(int(self.start_ns[i]), RADIO_CLOCK),
+            TimeInstant(int(self.end_ns[i]), RADIO_CLOCK),
+            _CHANNEL_OF_ID[int(self.channel[i])],
+        )
+
+    @classmethod
+    def of(cls, windows) -> "ScanWindows":
+        """A view of ``windows``: a view, or a sequence of windows or views."""
+        if isinstance(windows, cls):
+            return windows
+        parts = [np.zeros((3, 0), np.int64)]
+        for is_view, group in groupby(windows, lambda w: isinstance(w, cls)):
+            if is_view:
+                parts += [np.stack([w.start_ns, w.end_ns, w.channel]) for w in group]
+                continue
+            group = list(group)
+            if any(w.start.clock != RADIO_CLOCK or w.end.clock != RADIO_CLOCK for w in group):
+                raise ClockMismatchError("scan windows are radio-clocked")
+            rows = [(w.start.ns, w.end.ns, w.channel.id) for w in group]
+            parts.append(np.array(rows, np.int64).T)
+        return cls(*np.concatenate(parts, axis=1))
+
+
 # Most candidates one ``getrandbits`` call of _event_starts draws.
 _DRAW_BLOCK = 1 << 16
+
+
+def _words(rng: random.Random, n: int) -> np.ndarray:
+    """The next ``n`` Mersenne Twister words of ``rng``, from one ``getrandbits(32 * n)``."""
+    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
 
 
 def _event_starts(start_ns: int, end_ns: int, base_ns: int, span: int, rng) -> np.ndarray:
@@ -141,8 +187,7 @@ def _event_starts(start_ns: int, end_ns: int, base_ns: int, span: int, rng) -> n
     parts, t = [np.zeros(0, np.int64)], start_ns
     while t <= end_ns:
         n = min((end_ns - t) // (base_ns + span - 1) + 1, _DRAW_BLOCK)
-        raw = rng.getrandbits(32 * w * n).to_bytes(4 * w * n, "little")
-        words = np.frombuffer(raw, "<u4").reshape(n, w).copy()
+        words = _words(rng, w * n).reshape(n, w).copy()
         words[:, -1] >>= 32 * w - k
         cand = words.view(f"<u{4 * w}").ravel()
         step = cand[cand < span].astype(np.int64) + base_ns
@@ -209,40 +254,35 @@ class ScannerBehavior:
         settings: ScanSettings,
         epochs: list[tuple[TimeInstant, TimeInstant]],
         rng: random.Random,
-    ) -> list[ScanWindow]:
+    ) -> ScanWindows:
         raise NotImplementedError
 
 
-def _cycle(ch: Channel = CH37):
-    """The compliant channel order 37 -> 38 -> 39 -> 37 ..., from ``ch`` on."""
-    while True:
-        yield ch
-        ch = next_channel(ch)
+# The channel ids a scanner on each channel can hop to, in ``choice`` order.
+_OTHERS = {c: tuple(o for o in ADVERTISING_CHANNELS if o != c) for c in ADVERTISING_CHANNELS}
 
 
 def _random_walk(rng: random.Random):
-    """Channels from 37 on, each next one drawn uniformly from the other two."""
-    ch = CH37
+    """Channel ids from 37 on, each next one drawn uniformly from the other two."""
+    ch = 37
     while True:
         yield ch
-        ch = rng.choice([c for c in _ALL_CHANNELS if c != ch])
+        ch = rng.choice(_OTHERS[ch])
 
 
-def _cadence(start_ns, end_ns, interval_ns, window_ns, channels):
+def _cadence(start_ns, end_ns, interval_ns, window_ns, channels) -> ScanWindows:
     """Windows every ``interval_ns`` from ``start_ns``, cut off at ``end_ns``.
 
-    Each window takes the next channel from the ``channels`` iterator, which
-    is advanced only when a window opens, so random channel sources draw
-    exactly once per window.
+    ``channels`` is the channel id the compliant cycle 37 -> 38 -> 39 -> 37
+    starts from, or an iterator of ids advanced only when a window opens, so
+    random channel sources draw exactly once per window.
     """
-    return [
-        ScanWindow(
-            TimeInstant(ws, RADIO_CLOCK),
-            TimeInstant(min(ws + window_ns, end_ns), RADIO_CLOCK),
-            next(channels),
-        )
-        for ws in range(start_ns, end_ns, interval_ns)
-    ]
+    n = max(-(-(end_ns - start_ns) // interval_ns), 0)
+    starts = start_ns + interval_ns * np.arange(n, dtype=np.int64)
+    ends = np.minimum(starts + min(window_ns, end_ns - start_ns), end_ns)
+    if isinstance(channels, int):
+        return ScanWindows(starts, ends, (np.arange(n, dtype=np.int64) + channels - 37) % 3 + 37)
+    return ScanWindows(starts, ends, np.fromiter(islice(channels, n), np.int64, n))
 
 
 class Compliant(ScannerBehavior):
@@ -253,10 +293,7 @@ class Compliant(ScannerBehavior):
     def windows(self, settings, epochs, rng):
         own = self.effective_settings(settings)
         interval, window = own.scan_interval.ns, own.scan_window.ns
-        out = []
-        for start, end in epochs:
-            out += _cadence(start.ns, end.ns, interval, window, _cycle())
-        return out
+        return ScanWindows.of([_cadence(s.ns, e.ns, interval, window, 37) for s, e in epochs])
 
 
 class BalancedOffset(ScannerBehavior):
@@ -278,14 +315,14 @@ class BalancedOffset(ScannerBehavior):
     def windows(self, settings, epochs, rng):
         interval = settings.scan_interval.ns
         window = settings.scan_window.ns
-        random_channels = iter(lambda: rng.choice(_ALL_CHANNELS), None)
-        out = []
+        random_channels = iter(lambda: rng.choice(ADVERTISING_CHANNELS), None)
+        parts = []
         for start, end in epochs:
             span = round(self.offset_factor * interval)
             settle_ns = min(start.ns + rng.randrange(span + 1), end.ns)
-            out += _cadence(start.ns, settle_ns, interval, window, random_channels)
-            out += _cadence(settle_ns, end.ns, interval, window, _cycle())
-        return out
+            parts.append(_cadence(start.ns, settle_ns, interval, window, random_channels))
+            parts.append(_cadence(settle_ns, end.ns, interval, window, 37))
+        return ScanWindows.of(parts)
 
 
 class AltInterval(Compliant):
@@ -306,6 +343,21 @@ class AltInterval(Compliant):
         return self._own
 
 
+# Most Mersenne Twister words one block of RapidToggle.windows draws; its
+# walk holds four tables of this length, so this bounds its memory.
+_TOGGLE_BLOCK = 1 << 12
+
+
+def _next_true(ok: np.ndarray, stride: int) -> array:
+    """``out[p]`` (p <= len(ok)): the first of p, p + stride, ... where ``ok`` holds, or len(ok)."""
+    m = len(ok)
+    at = np.where(ok, np.arange(m), m)
+    out = np.full(m + 1, m)
+    for r in range(stride):
+        out[r:m:stride] = np.minimum.accumulate(at[r::stride][::-1])[::-1]
+    return array("q", out.tobytes())
+
+
 class RapidToggle(ScannerBehavior):
     """Back-to-back short windows hopping to a random other channel each time.
 
@@ -320,8 +372,8 @@ class RapidToggle(ScannerBehavior):
         min_window: Duration = Duration.from_seconds(0.100),
         max_window: Duration = Duration.from_seconds(0.200),
     ):
-        if not 0 < min_window.ns <= max_window.ns:
-            raise ConfigError("need 0 < min_window <= max_window")
+        if not 0 < min_window.ns <= max_window.ns < 2**63:
+            raise ConfigError("need 0 < min_window <= max_window < 2**63 ns")
         self.min_window = min_window
         self.max_window = max_window
 
@@ -329,20 +381,57 @@ class RapidToggle(ScannerBehavior):
         return self.min_window.ns
 
     def windows(self, settings, epochs, rng):
-        out = []
-        for start, end in epochs:
-            walk = _random_walk(rng)
-            cursor = start.ns
-            while cursor < end.ns:
-                ch = next(walk)
-                dur = rng.randrange(self.min_window.ns, self.max_window.ns + 1)
-                we = min(cursor + dur, end.ns)
-                out.append(
-                    ScanWindow(TimeInstant(cursor, RADIO_CLOCK), TimeInstant(we, RADIO_CLOCK), ch)
-                )
-                cursor = we
-            next(walk)  # the channel after an epoch's last window is drawn too
-        return out
+        """Each window draws ``randrange(min, max + 1)``, then the next channel.
+
+        That is one ``choice`` of the other two, also after an epoch's last
+        window.  CPython takes both from whole Mersenne Twister words: w-word
+        duration candidates until one is below the width, ``word >> 30`` until
+        it is below 2.  So the words come in blocks of no more than the
+        windows certain to come will use, and the walk looks up the next
+        accepted word of each kind: the same windows and final ``rng`` state.
+        """
+        lo, hi = self.min_window.ns, self.max_window.ns
+        width = hi - lo + 1
+        k = width.bit_length()
+        w = (k - 1) // 32 + 1
+        spans = [(start.ns, end.ns) for start, end in epochs if start.ns < end.ns]
+        ahead = sum(-(-(end - start) // hi) for start, end in spans)  # windows certain to come
+
+        def block(rest, pending, cursor, end):
+            need = pending + (w + 1) * (ahead + -(-max(end - cursor, 0) // hi))
+            words = np.concatenate([rest, _words(rng, min(need, _TOGGLE_BLOCK) - len(rest))])
+            cand = words[w - 1 :].astype(np.uint64) >> (32 * w - k)  # w <= 2 below 2**63
+            if w == 2:
+                cand = cand << 32 | words[:-1]
+            ok = np.append(cand < width, np.zeros(w - 1, bool))
+            cand += lo  # a rejected candidate may wrap; it is never read
+            next_dur, next_ch = _next_true(ok, w), _next_true(words < 1 << 31, 1)
+            return words, next_dur, array("q", cand.tobytes()), next_ch, (words >> 30).tolist()
+
+        starts, ends, ids = array("q"), array("q"), array("q")  # no int object per window
+        words, m, p, next_dur = np.zeros(0, np.uint32), 0, 0, [0]
+        for cursor, end in spans:
+            ahead -= -(-(end - cursor) // hi)
+            first, ch = len(starts), 37
+            while cursor < end:
+                q = next_dur[p]
+                while q == m:
+                    rest = words[m - (m - p) % w :]  # a candidate cut off by the block's end
+                    words, next_dur, step, next_ch, bit = block(rest, 0, cursor, end)
+                    m, p = len(words), 0
+                    q = next_dur[0]
+                starts.append(cursor)
+                ids.append(ch)
+                cursor += step[q]
+                r = next_ch[q + w]
+                while r == m:
+                    words, next_dur, step, next_ch, bit = block(words[m:], 1, cursor, end)
+                    m = len(words)
+                    r = next_ch[0]
+                ch, p = _OTHERS[ch][bit[r]], r + 1
+            ends += starts[first + 1 :]
+            ends.append(end)
+        return ScanWindows(*[np.frombuffer(col, np.int64) for col in (starts, ends, ids)])
 
 
 class NonStandardOrder(ScannerBehavior):
@@ -363,10 +452,7 @@ class NonStandardOrder(ScannerBehavior):
     def windows(self, settings, epochs, rng):
         interval = settings.scan_interval.ns
         walk = _random_walk(rng)
-        out = []
-        for start, end in epochs:
-            out += _cadence(start.ns, end.ns, interval, interval, walk)
-        return out
+        return ScanWindows.of([_cadence(s.ns, e.ns, interval, interval, walk) for s, e in epochs])
 
 
 class ContinueChannel(ScannerBehavior):
@@ -382,16 +468,15 @@ class ContinueChannel(ScannerBehavior):
     def windows(self, settings, epochs, rng):
         interval = settings.scan_interval.ns
         window = settings.scan_window.ns
-        out = []
-        ch = CH37
+        parts, ch = [], 37
         for start, end in epochs:
-            made = _cadence(start.ns, end.ns, interval, window, _cycle(ch))
-            out += made
-            if made:
-                last = made[-1]
-                cut_short = last.end.ns == end.ns and last.duration.ns < window
-                ch = last.channel if cut_short else next_channel(last.channel)
-        return out
+            made = _cadence(start.ns, end.ns, interval, window, ch)
+            parts.append(made)
+            if len(made):
+                last, last_end = int(made.channel[-1]), int(made.end_ns[-1])
+                cut_short = last_end == end.ns and last_end - int(made.start_ns[-1]) < window
+                ch = last if cut_short else last % 3 + 37  # the next in the cycle
+        return ScanWindows.of(parts)
 
 
 BEHAVIOR_TAGS = {
@@ -421,7 +506,7 @@ def gen_scan_windows(
     restarts: list[TimeInstant],
     end: TimeInstant,
     rng: random.Random,
-) -> list[ScanWindow]:
+) -> ScanWindows:
     """Windows a scanner opens between ``restarts[0]`` and ``end``.
 
     ``restarts`` are the radio instants at which scanning (re)starts; they
@@ -558,8 +643,6 @@ class PacketRecord:
     window_index: int = -1
 
 
-_CHANNEL_OF_ID = {0: None, **{c.id: c for c in _ALL_CHANNELS}}
-
 
 @dataclass(frozen=True, eq=False)
 class Packets(ColumnView):
@@ -622,7 +705,7 @@ def app_anchor_times(restarts: list[TimeInstant], clock: ClockModel) -> list[Tim
 
 def simulate_reception(
     events,
-    windows: list[ScanWindow],
+    windows,
     restarts: list[TimeInstant],
     clock: ClockModel,
     loss: LossModel,
@@ -631,7 +714,8 @@ def simulate_reception(
     """Match transmissions against scan windows and timestamp the catches.
 
     ``events`` is an :class:`AdvertisingEvents` view or any sequence of
-    :class:`AdvertisingEvent`.  A beacon is received iff some window covers
+    :class:`AdvertisingEvent`, ``windows`` a :class:`ScanWindows` view or
+    any sequence of :class:`ScanWindow`.  A beacon is received iff some window covers
     its transmit instant on the matching channel.  Windows must not
     overlap (ConfigError otherwise).  One channel slot of all events is
     matched at a time, by binary search over the bounds of the windows on
@@ -642,11 +726,12 @@ def simulate_reception(
     in transmit order.
     """
     events = AdvertisingEvents.of(events)
-    windows = sorted(windows, key=lambda w: w.start.ns)
-    bounds = np.array([(w.start.ns, w.end.ns) for w in windows], np.int64).reshape(-1, 2)
+    windows = ScanWindows.of(windows)
+    order = np.argsort(windows.start_ns, kind="stable")
+    bounds = np.stack([windows.start_ns[order], windows.end_ns[order]], 1)
     if np.any(np.diff(bounds.ravel()) < 0):
         raise ConfigError("scan windows must not overlap")
-    w_channel = np.array([w.channel.id for w in windows], np.int64)
+    w_channel = windows.channel[order]
     width = max((len(chs) for _, chs in events.sources), default=0)
     ids = np.zeros((len(events.sources), width), np.int64)  # 0 pads a short list
     for s, (_, chs) in enumerate(events.sources):
@@ -681,7 +766,7 @@ def simulate_reception(
     return Packets(
         recv_ns=app_ns[order],
         device=src,
-        device_ids=tuple(device_id for device_id, _ in events.sources),
+        device_ids=tuple([device_id for device_id, _ in events.sources]),
         channel=ids[src, k[hit]],
         window_index=np.searchsorted(bounds[:, 1], t[hit], side="right"),
     )
@@ -715,8 +800,7 @@ def _gauss_draws(n: int, rng: random.Random) -> np.ndarray:
         n -= 1
     while n > 0:
         pairs = min((n + 1) // 2, _GAUSS_BLOCK)
-        raw = rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little")
-        words = np.frombuffer(raw, "<u4").reshape(pairs, 2, 2).astype(np.uint64)
+        words = _words(rng, 4 * pairs).reshape(pairs, 2, 2).astype(np.uint64)
         u = ((words[..., 0] >> 5) * 67108864 + (words[..., 1] >> 6)) * 2.0**-53
         x2pi = u[:, 0] * random.TWOPI
         g2rad = np.sqrt(-2.0 * _floats(math.log, 1.0 - u[:, 1]))

@@ -312,6 +312,7 @@ def test_every_experiment_command_validates_its_config(tmp_path, capsys, command
 
 
 IN_BOUNDS = "must be a finite value in [-200, 200]"
+PREDICTED, OUT = "predicted RSSI on channel 37 at", "outside [-200, 200]"
 
 
 @pytest.mark.parametrize(
@@ -346,6 +347,18 @@ IN_BOUNDS = "must be a finite value in [-200, 200]"
         ("ranging", "channel_offsets_db = inf,0,0", f"channel_offsets_db {IN_BOUNDS}"),
         ("ranging", "antenna_gain_db = -200.5", f"antenna_gain_db {IN_BOUNDS}"),
         ("matrix", "channel_offsets_db = 0,0,1e300", f"channel_offsets_db {IN_BOUNDS}"),
+        ("simulate", "path_loss_exponent = 1e300", f"{PREDICTED} 16 m is -1.20412e+301 dBm, {OUT}"),
+        ("ranging", "path_loss_exponent = 1e300", f"{PREDICTED} 16 m is -1.20412e+301 dBm, {OUT}"),
+        (
+            "ranging",
+            "distance_min_m = 1e-9\npath_loss_exponent = 3",
+            f"{PREDICTED} 1e-09 m is 229.941 dBm, {OUT}",
+        ),
+        (
+            "simulate",
+            "tx_power_dbm = 200\nantenna_gain_db = 200",
+            f"{PREDICTED} 1 m is 359.941 dBm, {OUT}",
+        ),
         ("accuracy", "shadow_sigma_db = -1", "shadow_sigma_db must be non-negative"),
         ("accuracy", "channel_offsets_db = 1,2", "channel_offsets_db needs exactly three values"),
     ],

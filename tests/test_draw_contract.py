@@ -1,0 +1,100 @@
+"""The CPython draw contract the simulator's bulk draws rely on.
+
+``_event_starts``, ``_gauss_draws`` and ``RapidToggle.windows`` read a
+``random.Random`` as a stream of 32-bit Mersenne Twister words instead of
+calling ``randrange``, ``choice`` or ``random`` once per value.  That only
+gives the same numbers if the interpreter draws those values from whole
+words in the way checked here.  Standard library only, so it runs on any
+interpreter without numpy:
+
+    python tests/test_draw_contract.py
+"""
+
+import random
+
+SEEDS = (0, 1, 7, 2**40 + 3, "scan:11")
+
+
+def clones(seed):
+    """Two generators in the same state."""
+    a = random.Random(seed)
+    a.getrandbits(7)  # start mid-stream, not at a fresh seed
+    b = random.Random()
+    b.setstate(a.getstate())
+    return a, b
+
+
+def words_below(rng, n):
+    """``_randbelow(n)`` by hand: k-bit candidates from whole words until one is below n.
+
+    A candidate takes w words, least significant first, the last shifted
+    right by 32*w - k (k = n.bit_length()).
+    """
+    k = n.bit_length()
+    w = (k - 1) // 32 + 1
+    while True:
+        words = [rng.getrandbits(32) for _ in range(w)]
+        words[-1] >>= 32 * w - k
+        cand = sum(word << (32 * j) for j, word in enumerate(words))
+        if cand < n:
+            return cand
+
+
+def test_short_getrandbits_is_the_top_of_one_word():
+    for seed in SEEDS:
+        for k in range(1, 33):
+            a, b = clones(seed)
+            assert [a.getrandbits(k) for _ in range(50)] == [
+                b.getrandbits(32) >> (32 - k) for _ in range(50)
+            ]
+            assert a.getstate() == b.getstate()
+
+
+def test_long_getrandbits_is_words_least_significant_first():
+    for seed in SEEDS:
+        for n in (1, 2, 3, 17):
+            a, b = clones(seed)
+            got = a.getrandbits(32 * n)
+            assert got == sum(b.getrandbits(32) << (32 * j) for j in range(n))
+            assert a.getstate() == b.getstate()
+
+
+def test_randrange_rejects_whole_candidates():
+    widths = (1, 2, 3, 5, 2**31, 2**31 + 1, 100_000_001, 2**32, 2**32 + 1, 2**33 + 1, 2**54)
+    for seed in SEEDS:
+        for width in widths:
+            a, b = clones(seed)
+            lo = 100_000_000
+            got = [a.randrange(lo, lo + width) for _ in range(40)]
+            assert got == [lo + words_below(b, width) for _ in range(40)]
+            assert a.getstate() == b.getstate()
+
+
+def test_choice_of_two_or_three_rejects_whole_words():
+    for seed in SEEDS:
+        for items in ((38, 39), (37, 38, 39)):
+            a, b = clones(seed)
+            got = [a.choice(items) for _ in range(200)]
+            assert got == [items[words_below(b, len(items))] for _ in range(200)]
+            assert a.getstate() == b.getstate()
+
+
+def test_random_takes_two_words():
+    for seed in SEEDS:
+        a, b = clones(seed)
+        want = []
+        for _ in range(50):
+            hi, lo = b.getrandbits(32) >> 5, b.getrandbits(32) >> 6
+            want.append((hi * 2**26 + lo) / 2**53)
+        assert [a.random() for _ in range(50)] == want
+        assert a.getstate() == b.getstate()
+
+
+if __name__ == "__main__":
+    import sys
+
+    tests = [(name, fn) for name, fn in sorted(globals().items()) if name.startswith("test_")]
+    for name, fn in tests:
+        fn()
+        print(f"ok {name}")
+    print(f"{len(tests)} passed on Python {sys.version.split()[0]}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -30,6 +31,7 @@ from blechannel.simkit import (
     NonStandardOrder,
     RapidToggle,
     RssiModel,
+    _TOGGLE_BLOCK,
     app_anchor_times,
     attach_rssi,
     behavior_from_tag,
@@ -176,11 +178,44 @@ def test_rapid_toggle_draws_like_its_reference(seed, bounds):
     assert rng.getstate() == ref_rng.getstate()
 
 
+@pytest.mark.parametrize(
+    "behavior, edges",
+    [
+        # about 10k windows, several times the words of one block
+        (RapidToggle(), (0.0, 333.333, 777.7, 777.7, 1234.5, 1500.0)),
+        # spreads above 2**32 ns take two words per duration candidate
+        (RapidToggle(Duration(1), Duration(2**32 + 1)), (0.0, 9_999.9, 20_000.0, 36_000.0)),
+    ],
+)
+def test_rapid_toggle_long_runs_draw_like_the_reference(behavior, edges):
+    epochs = epochs_s(*zip(edges, edges[1:]))
+    rng, ref_rng = substream(3, "w"), substream(3, "w")
+    windows = behavior.windows(LOW_LATENCY, epochs, rng)
+    assert 2 * len(windows) > 4 * _TOGGLE_BLOCK  # each window takes two words or more
+    got = list(zip(windows.start_ns.tolist(), windows.end_ns.tolist(), windows.channel.tolist()))
+    assert got == reference_rapid_toggle(behavior, epochs, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_rapid_toggle_hour_stays_small():
+    # The per-window objects of the loop this replaced peaked at 4.5 MiB here.
+    tracemalloc.start()
+    try:
+        windows = RapidToggle().windows(LOW_LATENCY, epochs_s((0.0, 3600.0)), substream(1, "w"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 24_041
+    assert peak < 4.5 * 2**20
+
+
 def test_rapid_toggle_validates_window_bounds():
     with pytest.raises(ConfigError):
         RapidToggle(min_window=Duration(0), max_window=Duration(1))
     with pytest.raises(ConfigError):
         RapidToggle(min_window=Duration(5), max_window=Duration(4))
+    with pytest.raises(ConfigError):  # window bounds are int64 columns
+        RapidToggle(min_window=Duration(1), max_window=Duration(2**63))
 
 
 def test_nonstandard_order_scans_continuously_with_random_walk():
