@@ -40,6 +40,8 @@ from .errors import ConfigError, NoDataError, TraceOrderError, TraceParseError
 from .ranging import EstimatorComparison, RangingSample, compare_estimators
 from .simkit import (
     _ALL_CHANNELS,
+    _INT64_MAX,
+    _INT64_MIN,
     BEHAVIOR_TAGS,
     AdvertisingEvents,
     ClockModel,
@@ -69,7 +71,6 @@ MAX_SAMPLE_RSSI_DBM = 200.0
 _RSSI_BOUNDS = f"[-{MAX_SAMPLE_RSSI_DBM:g}, {MAX_SAMPLE_RSSI_DBM:g}]"
 
 _DEVICE_ID = re.compile(r"[A-Za-z0-9._:-]+")
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -521,6 +522,22 @@ def build_accuracy_curve(samples, bucket_s: float, horizon_s: float) -> Accuracy
 MATRIX_BEHAVIORS = tuple(BEHAVIOR_TAGS)
 
 
+class Scenario(NamedTuple):
+    """Every part a replica runs from, as :meth:`ExperimentConfig.scenario` builds them."""
+
+    scan: ScanSettings
+    adv: AdvSettings
+    behavior: ScannerBehavior
+    duration: Duration
+    channels: tuple[Channel, ...]
+    clock: ClockModel
+    loss: LossModel
+    rssi: RssiModel
+    detector: DetectorConfig
+    # radio instants at which scanning (re)starts, 0 first
+    restarts: list[TimeInstant]
+
+
 @dataclass
 class ExperimentConfig:
     """Flat settings shared by the canned experiments.
@@ -565,42 +582,56 @@ class ExperimentConfig:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"bad adv_channels {self.adv_channels!r}: {exc}") from exc
 
-    def validate(self) -> "ExperimentConfig":
-        """Raise ConfigError unless the experiments can run on this config.
+    def scenario(self) -> "Scenario":
+        """Build every part a replica runs from, or raise ConfigError.
 
-        Checks signs and counts, that the bucket, restart, event and scan
-        window counts and the simulated instants stay within
-        ``MAX_BUCKETS``, ``MAX_RESTARTS``, ``MAX_EVENTS``, ``MAX_WINDOWS``
-        and ``MAX_TIME_NS``, and that the ranging experiment has enough
-        samples, a positive path-loss exponent and a usable distance range.
-        The RSSI model must build, and its dB figures, and the noise-free
-        level it predicts on each channel at ``distance_min_m`` and
-        ``distance_max_m``, must be finite and within ``MAX_SAMPLE_RSSI_DBM``
-        of zero.  Returns the config.
+        Each cap (``MAX_BUCKETS``, ``MAX_RESTARTS``, ``MAX_EVENTS``,
+        ``MAX_WINDOWS``, ``MAX_TIME_NS``) is checked before anything it bounds
+        is built, and the restart schedule is built last.  The ranging fields
+        need ``n_train >= 4``, ``n_test >= 1``, a positive path-loss exponent
+        and ``0 < distance_min_m <= distance_max_m < inf``; the RSSI model's dB
+        figures, and the level it predicts on each channel at both distance
+        bounds, must be finite and within ``MAX_SAMPLE_RSSI_DBM`` of zero.
         """
         if self.n_advertisers < 0:
             raise ConfigError("n_advertisers must be non-negative")
         if self.n_seeds <= 0:
             raise ConfigError("n_seeds must be positive")
-        duration_ns = Duration.from_seconds(self.duration_s).ns
-        if duration_ns <= 0:
+        duration = Duration.from_seconds(self.duration_s)
+        if duration.ns <= 0:
             raise ConfigError("duration_s must be positive")
-        self.clock_model()
-        app_end = duration_ns / (1.0 + self.drift_rate) + self.jitter_max_s * NS_PER_S
-        if not (duration_ns < MAX_TIME_NS and app_end < MAX_TIME_NS):
+        clock = ClockModel(
+            drift_rate=self.drift_rate, jitter_range=(self.jitter_min_s, self.jitter_max_s)
+        )
+        app_end = duration.ns / (1.0 + self.drift_rate) + self.jitter_max_s * NS_PER_S
+        if not (duration.ns < MAX_TIME_NS and app_end < MAX_TIME_NS):
             raise ConfigError("simulated instants must stay below 2**53 ns (about 104 days)")
-        base_ns = _preset(self.adv_mode, AdvSettings, "an advertise mode").base_interval.ns
-        if self.n_advertisers * (duration_ns // base_ns + 1) > MAX_EVENTS:
+        adv = _preset(self.adv_mode, AdvSettings, "an advertise mode")
+        if self.n_advertisers * (duration.ns // adv.base_interval.ns + 1) > MAX_EVENTS:
             raise ConfigError(f"more than {MAX_EVENTS} advertising events per replica")
         _bucket_count(self.bucket_s, self.duration_s)
-        step_ns = Duration.from_seconds(self.restart_every_s).ns
-        if self.restart_every_s > 0 and step_ns * MAX_RESTARTS < duration_ns:
+        every_ns = Duration.from_seconds(self.restart_every_s).ns
+        step_ns = every_ns if self.restart_every_s > 0 else duration.ns
+        if step_ns * MAX_RESTARTS < duration.ns:
             raise ConfigError(f"restart_every_s gives more than {MAX_RESTARTS} restarts")
-        n_epochs = -(-duration_ns // step_ns) if self.restart_every_s > 0 else 1
         scan = _preset(self.scan_mode, ScanSettings, "a scan mode")
-        gap_ns = scenario_behavior(self).min_gap_ns(scan)
-        if duration_ns // gap_ns + 2 * n_epochs > MAX_WINDOWS:
+        behavior = behavior_from_tag(
+            self.behavior, alt_interval=Duration.from_seconds(self.alt_interval_s)
+        )
+        n_epochs = -(-duration.ns // step_ns)
+        if duration.ns // behavior.min_gap_ns(scan) + 2 * n_epochs > MAX_WINDOWS:
             raise ConfigError(f"more than {MAX_WINDOWS} scan windows per replica")
+        # the detector is granted what the device really does
+        detector = DetectorConfig(
+            scan_settings=behavior.effective_settings(scan),
+            guard=Duration.from_seconds(self.guard_s),
+            max_scan_time=Duration.from_seconds(self.max_scan_time_s),
+            idle_timeout=Duration.from_seconds(self.idle_timeout_s),
+        )
+        channels = self.channel_list()
+        if self.n_advertisers and not channels:
+            raise ConfigError("adv_channels names no channel")
+        loss = LossModel(drop_prob=self.loss_prob)
         if self.n_train < 4:  # the unknowns of a channel-aware fit
             raise ConfigError("n_train must be at least 4")
         if self.n_test < 1:
@@ -609,36 +640,36 @@ class ExperimentConfig:
             raise ConfigError("path_loss_exponent must be positive")
         if not 0 < self.distance_min_m <= self.distance_max_m < math.inf:
             raise ConfigError("need 0 < distance_min_m <= distance_max_m < inf")
-        model = self.rssi_model()
-        for name, value in [
-            ("tx_power_dbm", model.tx_power_dbm),
-            ("antenna_gain_db", model.antenna_gain_db),
-            ("shadow_sigma_db", model.shadow_sigma_db),
-            *(("channel_offsets_db", v) for v in model.channel_offset_db),
-        ]:
-            if not abs(value) <= MAX_SAMPLE_RSSI_DBM:  # nan fails too
-                raise ConfigError(f"{name} must be a finite value in {_RSSI_BOUNDS}")
-        predict = model.to_calibration().predict_rssi
-        for ch, d in product(_ALL_CHANNELS, (self.distance_min_m, self.distance_max_m)):
-            level = predict(ch, d)
-            if not abs(level) <= MAX_SAMPLE_RSSI_DBM:  # nan fails too
-                at = f"on channel {ch.id} at {d:g} m is {level:g} dBm"
-                raise ConfigError(f"predicted RSSI {at}, outside {_RSSI_BOUNDS}")
-        return self
-
-    def clock_model(self) -> ClockModel:
-        return ClockModel(
-            drift_rate=self.drift_rate, jitter_range=(self.jitter_min_s, self.jitter_max_s)
-        )
-
-    def rssi_model(self) -> RssiModel:
-        return RssiModel(
+        rssi = RssiModel(
             tx_power_dbm=self.tx_power_dbm,
             antenna_gain_db=self.antenna_gain_db,
             path_loss_exponent=self.path_loss_exponent,
             shadow_sigma_db=self.shadow_sigma_db,
             channel_offset_db=self.offsets(),
         )
+        for name, value in [
+            ("tx_power_dbm", rssi.tx_power_dbm),
+            ("antenna_gain_db", rssi.antenna_gain_db),
+            ("shadow_sigma_db", rssi.shadow_sigma_db),
+            *(("channel_offsets_db", v) for v in rssi.channel_offset_db),
+        ]:
+            if not abs(value) <= MAX_SAMPLE_RSSI_DBM:  # nan fails too
+                raise ConfigError(f"{name} must be a finite value in {_RSSI_BOUNDS}")
+        predict = rssi.to_calibration().predict_rssi
+        for ch, d in product(_ALL_CHANNELS, (self.distance_min_m, self.distance_max_m)):
+            level = predict(ch, d)
+            if not abs(level) <= MAX_SAMPLE_RSSI_DBM:  # nan fails too
+                at = f"on channel {ch.id} at {d:g} m is {level:g} dBm"
+                raise ConfigError(f"predicted RSSI {at}, outside {_RSSI_BOUNDS}")
+        restarts = [TimeInstant(ns, RADIO_CLOCK) for ns in range(0, duration.ns, step_ns)]
+        return Scenario(
+            scan, adv, behavior, duration, channels, clock, loss, rssi, detector, restarts
+        )
+
+    def validate(self) -> "ExperimentConfig":
+        """Raise ConfigError unless :meth:`scenario` builds; returns the config."""
+        self.scenario()
+        return self
 
     def offsets(self) -> tuple[float, float, float]:
         parts = [v.strip() for v in self.channel_offsets_db.split(",")]
@@ -701,31 +732,13 @@ def _preset(name: str, kind: type, what: str):
     return settings
 
 
-def _restart_schedule(cfg: ExperimentConfig, duration: Duration) -> list[TimeInstant]:
-    if cfg.restart_every_s <= 0:
-        return [TimeInstant(0, RADIO_CLOCK)]
-    step = Duration.from_seconds(cfg.restart_every_s).ns
-    return [TimeInstant(ns, RADIO_CLOCK) for ns in range(0, duration.ns, step)]
-
-
-def scenario_behavior(cfg: ExperimentConfig) -> ScannerBehavior:
-    return behavior_from_tag(
-        cfg.behavior, alt_interval=Duration.from_seconds(cfg.alt_interval_s)
-    )
-
-
 def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False) -> TraceFile:
     """One full simulated capture of the configured scenario, as read_trace gives one."""
-    cfg.validate()
-    scan = _preset(cfg.scan_mode, ScanSettings, "a scan mode")
-    adv = _preset(cfg.adv_mode, AdvSettings, "an advertise mode")
-    behavior = scenario_behavior(cfg)
-    duration = Duration.from_seconds(cfg.duration_s)
-    end = TimeInstant(duration.ns, RADIO_CLOCK)
-    restarts = _restart_schedule(cfg, duration)
-    windows = gen_scan_windows(behavior, scan, restarts, end, substream(seed, "scan"))
+    parts = cfg.scenario()
+    adv, clock, restarts = parts.adv, parts.clock, parts.restarts
+    end = TimeInstant(parts.duration.ns, RADIO_CLOCK)
+    windows = gen_scan_windows(parts.behavior, parts.scan, restarts, end, substream(seed, "scan"))
 
-    channels = cfg.channel_list()
     events = []
     for d in range(cfg.n_advertisers):
         rng = substream(seed, f"adv:{d}")
@@ -733,44 +746,30 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
         offset = rng.randrange(adv.base_interval.ns + adv.rho_max.ns + 1)
         events.append(
             gen_advertising(
-                adv, f"dev{d:02d}", TimeInstant(offset, RADIO_CLOCK), end, rng, channels
+                adv, f"dev{d:02d}", TimeInstant(offset, RADIO_CLOCK), end, rng, parts.channels
             )
         )
 
-    clock = cfg.clock_model()
-    loss = LossModel(drop_prob=cfg.loss_prob)
     packets = simulate_reception(
-        AdvertisingEvents.of(events), windows, restarts, clock, loss, substream(seed, "rx")
+        AdvertisingEvents.of(events), windows, restarts, clock, parts.loss, substream(seed, "rx")
     )
     if with_rssi:
-        model = cfg.rssi_model()
         rng = substream(seed, "rssi")
         span = cfg.distance_max_m - cfg.distance_min_m
         distances = {
             f"dev{d:02d}": cfg.distance_min_m + rng.random() * span
             for d in range(cfg.n_advertisers)
         }
-        packets = attach_rssi(packets, model, distances, rng)
+        packets = attach_rssi(packets, parts.rssi, distances, rng)
     return TraceFile(
-        scan_interval_ns=scan.scan_interval.ns,
-        scan_window_ns=scan.scan_window.ns,
-        behavior_tag=behavior.tag,
+        scan_interval_ns=parts.scan.scan_interval.ns,
+        scan_window_ns=parts.scan.scan_window.ns,
+        behavior_tag=parts.behavior.tag,
         seed=seed,
         # From a list: tuple(generator) shrinks a ten-slot tuple, which then piles up on
         # a free list that only a full gc empties (also for simkit's per-replica tuples).
         restarts_ns=tuple([r.ns for r in app_anchor_times(restarts, clock)]),
         packets=packets,
-    )
-
-
-def detector_config(cfg: ExperimentConfig) -> DetectorConfig:
-    """Detector settings for a scenario, honouring what the device really does."""
-    scan = _preset(cfg.scan_mode, ScanSettings, "a scan mode")
-    return DetectorConfig(
-        scan_settings=scenario_behavior(cfg).effective_settings(scan),
-        guard=Duration.from_seconds(cfg.guard_s),
-        max_scan_time=Duration.from_seconds(cfg.max_scan_time_s),
-        idle_timeout=Duration.from_seconds(cfg.idle_timeout_s),
     )
 
 
@@ -793,7 +792,7 @@ def _replica_samples(cfg: ExperimentConfig, dconf: DetectorConfig):
 
 def run_accuracy_experiment(cfg: ExperimentConfig) -> AccuracyCurve:
     """Accuracy over elapsed scan time, pooled over ``n_seeds`` replicas."""
-    replicas = _replica_samples(cfg, detector_config(cfg.validate()))
+    replicas = _replica_samples(cfg, cfg.scenario().detector)
     return build_accuracy_curve(replicas, cfg.bucket_s, cfg.duration_s)
 
 
@@ -850,11 +849,10 @@ def run_compatibility_matrix(cfg: ExperimentConfig) -> MatrixResult:
     question each row answers is whether arrival times then identify the
     channel at all.
     """
-    # every row and its detector settings are checked up front, so no row
-    # runs when a later one cannot
-    scens = [dataclasses.replace(cfg, behavior=tag).validate() for tag in MATRIX_BEHAVIORS]
+    # every row is built up front, so no row runs when a later one cannot
+    scens = [dataclasses.replace(cfg, behavior=tag) for tag in MATRIX_BEHAVIORS]
     rows = []
-    for scen, dconf in [(scen, detector_config(scen)) for scen in scens]:
+    for scen, dconf in [(scen, scen.scenario().detector) for scen in scens]:
         counts = np.zeros(3, np.int64)
         for s in _replica_samples(scen, dconf):
             counts += _tally(s.outcome, 0, 1)[0]  # every packet, whatever its elapsed time
@@ -884,14 +882,14 @@ class RangingResult:
         )
 
 
-def gen_ranging_samples(cfg: ExperimentConfig, n: int, rng) -> list[RangingSample]:
-    """Draw labeled RSSI observations from the configured propagation model.
+def gen_ranging_samples(cfg: ExperimentConfig, rssi: RssiModel, n: int, rng) -> list[RangingSample]:
+    """Draw labeled RSSI observations from ``rssi``, the config's RSSI model.
 
     Distances are log-uniform between the configured bounds, channels
     uniform, readings exact model predictions plus Gaussian shadowing.
     ``cfg`` is expected to have passed :meth:`ExperimentConfig.validate`.
     """
-    read = cfg.rssi_model().reader(rng)
+    read = rssi.reader(rng)
     lo = math.log10(cfg.distance_min_m)
     hi = math.log10(cfg.distance_max_m)
     samples = []
@@ -903,14 +901,14 @@ def gen_ranging_samples(cfg: ExperimentConfig, n: int, rng) -> list[RangingSampl
 
 
 def run_ranging_experiment(cfg: ExperimentConfig) -> RangingResult:
-    cfg.validate()
+    rssi = cfg.scenario().rssi
     rng = substream(cfg.seed, "ranging")
-    train = gen_ranging_samples(cfg, cfg.n_train, rng)
-    test = gen_ranging_samples(cfg, cfg.n_test, rng)
+    train = gen_ranging_samples(cfg, rssi, cfg.n_train, rng)
+    test = gen_ranging_samples(cfg, rssi, cfg.n_test, rng)
     comparison = compare_estimators(train, test)
     return RangingResult(
         comparison=comparison,
-        offsets_db=cfg.offsets(),
+        offsets_db=rssi.channel_offset_db,
         n_train=cfg.n_train,
         n_test=cfg.n_test,
     )

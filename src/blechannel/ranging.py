@@ -179,6 +179,7 @@ class CalibrationModel:
             raise TraceParseError(f"bad model file: {exc}") from exc
 
 
+@np.errstate(all="ignore")  # a fit that overflows is refused at the end
 def calibrate(
     samples,
     *,
@@ -187,10 +188,16 @@ def calibrate(
 ) -> CalibrationModel:
     """Least-squares fit of the log-distance model to labeled readings.
 
-    Pass ``path_loss_exponent`` to pin the rolloff instead of fitting it.
-    A channel-aware fit needs readings on all three channels and, when the
-    exponent is free, at least two distinct distances.
+    Pass ``path_loss_exponent`` to pin the rolloff instead of fitting it; a
+    pinned value must be finite and positive.  A channel-aware fit needs
+    readings on all three channels and, when the exponent is free, at least
+    two distinct distances.  A fit whose intercept, exponent or offsets are
+    not finite (huge readings or a huge pinned exponent overflow) is refused.
     """
+    if path_loss_exponent is not None and not 0 < path_loss_exponent < math.inf:
+        raise ConfigError(
+            f"path_loss_exponent must be finite and positive, got {path_loss_exponent!r}"
+        )
     samples = list(samples)
     if not samples:
         raise NoDataError("no calibration samples")
@@ -238,6 +245,8 @@ def calibrate(
     exponent = fit.get("exponent", path_loss_exponent)
     if exponent <= 0:
         raise FitError(f"fitted path-loss exponent is not physical: {exponent:.3f}")
+    if not all(map(math.isfinite, fit.values())):
+        raise FitError("fitted model is not finite")
 
     return CalibrationModel(
         intercept_dbm=fit["intercept"],

@@ -42,6 +42,7 @@ INTER_BEACON_GAP = Duration(400_000)
 
 _ALL_CHANNELS = tuple(Channel.of(c) for c in ADVERTISING_CHANNELS)
 _CHANNEL_OF_ID = {0: None, **{c.id: c for c in _ALL_CHANNELS}}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def substream(seed: int, tag: str) -> random.Random:
@@ -215,12 +216,15 @@ def gen_advertising(
     ``rng.randrange(rho_max + 1)`` after each event, drawn in bulk as
     Mersenne Twister words.  This relies on the word order of CPython's
     ``getrandbits`` (a property test checks it), so ``rng`` must be a plain
-    ``random.Random``.
+    ``random.Random``.  Every beacon, those of an event at ``end`` included,
+    must fall within the int64 ns range (ConfigError otherwise).
     """
     if start.clock != RADIO_CLOCK or end.clock != RADIO_CLOCK:
         raise ClockMismatchError("advertising runs on the radio clock")
     if not channels:
         raise ConfigError("an advertiser needs at least one channel")
+    if start.ns < _INT64_MIN or end.ns + (len(channels) - 1) * INTER_BEACON_GAP.ns > _INT64_MAX:
+        raise ConfigError("advertising beacons must stay within the int64 ns range")
     base, span = settings.base_interval.ns, settings.rho_max.ns + 1
     starts = _event_starts(start.ns, end.ns, base, span, rng)
     source = np.zeros(len(starts), np.intp)
@@ -279,7 +283,8 @@ def _cadence(start_ns, end_ns, interval_ns, window_ns, channels) -> ScanWindows:
     """
     n = max(-(-(end_ns - start_ns) // interval_ns), 0)
     starts = start_ns + interval_ns * np.arange(n, dtype=np.int64)
-    ends = np.minimum(starts + min(window_ns, end_ns - start_ns), end_ns)
+    width = min(window_ns, end_ns - start_ns)
+    ends = np.minimum(starts, end_ns - width) + width  # min(starts + width, end) without int64 wrap
     if isinstance(channels, int):
         return ScanWindows(starts, ends, (np.arange(n, dtype=np.int64) + channels - 37) % 3 + 37)
     return ScanWindows(starts, ends, np.fromiter(islice(channels, n), np.int64, n))
@@ -511,6 +516,7 @@ def gen_scan_windows(
 
     ``restarts`` are the radio instants at which scanning (re)starts; they
     must be strictly increasing and the first one must precede ``end``.
+    All of them and ``end`` must be int64 ns, less than 2**63 ns apart.
     """
     if not restarts:
         raise ConfigError("need at least one scan start instant")
@@ -524,7 +530,10 @@ def gen_scan_windows(
         raise ConfigError("scan restarts must be strictly increasing")
     if ns[0] >= end.ns:
         raise ConfigError("first scan start must precede the horizon")
-    bounds = ns + [max(end.ns, ns[-1])]
+    last = max(ns[-1], end.ns)
+    if ns[0] < _INT64_MIN or last > _INT64_MAX or last - ns[0] > _INT64_MAX:
+        raise ConfigError("scan instants must fit int64 ns and span less than 2**63 ns")
+    bounds = ns + [last]
     epochs = [
         (TimeInstant(a, RADIO_CLOCK), TimeInstant(min(b, end.ns), RADIO_CLOCK))
         for a, b in zip(bounds, bounds[1:])

@@ -274,7 +274,8 @@ def test_unrunnable_configs_are_one_line_config_errors(
     def no_schedule(*args):
         raise AssertionError("the restart schedule was built")
 
-    monkeypatch.setattr(harness, "_restart_schedule", no_schedule)
+    # the restart schedule is the only TimeInstant ExperimentConfig.scenario() makes
+    monkeypatch.setattr(harness, "TimeInstant", no_schedule)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(setting + "\n", encoding="utf-8")
     assert run(["accuracy", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 2
@@ -361,6 +362,18 @@ PREDICTED, OUT = "predicted RSSI on channel 37 at", "outside [-200, 200]"
         ),
         ("accuracy", "shadow_sigma_db = -1", "shadow_sigma_db must be non-negative"),
         ("accuracy", "channel_offsets_db = 1,2", "channel_offsets_db needs exactly three values"),
+        *(
+            (command, setting, message)
+            for command in ("simulate", "accuracy", "matrix", "ranging")
+            for setting, message in [
+                ("adv_channels = 40", "bad adv_channels '40': not an advertising channel: 40"),
+                ("adv_channels = ,", "adv_channels names no channel"),
+                ("loss_prob = 2", "drop_prob must be within [0, 1]"),
+                ("guard_s = 5", "guard must be non-negative and below the scan interval"),
+                ("max_scan_time_s = 4000", "max_scan_time must be positive and at most 1800 s"),
+                ("idle_timeout_s = 0", "idle_timeout must be positive"),
+            ]
+        ),
     ],
 )
 def test_config_faults_refuse_before_any_draw(

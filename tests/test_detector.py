@@ -12,7 +12,7 @@ from blechannel.detector import (
     session_on_tick,
 )
 from blechannel.errors import ClockMismatchError, ConfigError
-from blechannel.simkit import PacketRecord
+from blechannel.simkit import PacketRecord, Packets
 
 LOW_LATENCY = preset_settings("SCAN_MODE_LOW_LATENCY")
 CONFIG = DetectorConfig(scan_settings=LOW_LATENCY)
@@ -95,6 +95,11 @@ def test_pre_start_packets_are_flagged():
 def test_classify_rejects_mixed_clocks():
     with pytest.raises(ClockMismatchError):
         classify_time(radio_instant(1.0), ANCHOR, CONFIG)
+    radio = PacketRecord(recv=radio_instant(1.0), device_id="d", channel=None)
+    with pytest.raises(ClockMismatchError):
+        classify_trace([radio], [ANCHOR], CONFIG)
+    with pytest.raises(ClockMismatchError):
+        Packets.of([radio, PacketRecord(recv=app_instant(2.0), device_id="d", channel=None)])
 
 
 def test_slot_borders_reconstruct_scan_windows():

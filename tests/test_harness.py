@@ -22,7 +22,6 @@ from blechannel.harness import (
     TraceFile,
     build_accuracy_curve,
     classification_samples,
-    detector_config,
     read_samples_csv,
     read_trace,
     run_accuracy_experiment,
@@ -132,6 +131,10 @@ GOOD_HEADER = "# blechannel-trace v1\n# ts_ns=4096000000 ds_ns=1024000000 behavi
         (GOOD_HEADER + "99,dev,36,\n", 4),
         (GOOD_HEADER + "99,dev,37,loud\n", 4),
         (GOOD_HEADER + "99,dev,37,-40\n205,dev,38,not-a-number\n", 5),
+        ("# blechannel-trace v1\n# ts_ns=10 ds_ns=10 behavior=compliant seed=1 junk\nx\n", 2),
+        ("# blechannel-trace v1\n# ts_ns=10 ds_ns=10 behavior=compliant seed=1\n", 3),
+        (GOOD_HEADER + "99,dev,37,\n100,dev,3x,\n", 5),
+        (GOOD_HEADER + "99,dev,37,\n100,dev!,38,\n", 5),
     ],
 )
 def test_trace_from_text_reports_the_offending_line(text, line):
@@ -344,10 +347,31 @@ def test_simulate_scenario_rejects_bad_modes():
 
 def test_detector_config_tracks_effective_settings():
     cfg = dataclasses.replace(SHORT, behavior="alt-interval", alt_interval_s=5.0)
-    dconf = detector_config(cfg)
+    dconf = cfg.scenario().detector
     assert dconf.scan_settings.scan_interval == Duration.from_seconds(5.0)
-    plain = detector_config(SHORT)
+    plain = SHORT.scenario().detector
     assert plain.scan_settings.scan_interval == Duration.from_seconds(4.096)
+
+
+def test_every_part_is_built_once_per_call(monkeypatch):
+    built = []
+    parts = ["preset_settings", "behavior_from_tag", "ClockModel", "LossModel", "RssiModel"]
+    for name in parts + ["DetectorConfig"]:
+        def counted(*args, _make=getattr(harness, name), _name=name, **kwargs):
+            built.append(_name)
+            return _make(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    channel_list = ExperimentConfig.channel_list
+    monkeypatch.setattr(
+        ExperimentConfig, "channel_list", lambda cfg: built.append("channels") or channel_list(cfg)
+    )
+    once = sorted(parts + ["DetectorConfig", "channels", "preset_settings"])  # scan and adv
+    SHORT.validate()
+    assert sorted(built) == once
+    built.clear()
+    simulate_scenario(SHORT, seed=1, with_rssi=True)
+    assert sorted(built) == once
 
 
 def test_run_accuracy_experiment_compliant_is_clean():
@@ -475,11 +499,12 @@ def test_validate_bounds_are_exact():
 
 
 def test_window_cap_is_exact_and_ranging_fields_are_checked():
-    # 1 ms alt-interval windows: 9_999_998 spacings plus 2 for the one epoch
+    # 1 ms alt-interval windows: 9_999_998 spacings plus 2 for the one epoch;
+    # the guard must stay below that 1 ms interval
     assert MAX_WINDOWS == 10_000_000
     most = dataclasses.replace(
         SHORT, behavior="alt-interval", alt_interval_s=1e-3, n_advertisers=0,
-        duration_s=9_999.998, bucket_s=1.0,
+        duration_s=9_999.998, bucket_s=1.0, guard_s=1e-4,
     )
     most.validate()
     with pytest.raises(ConfigError, match="scan windows"):
@@ -503,7 +528,7 @@ def test_window_cap_is_exact_and_ranging_fields_are_checked():
 
 def test_columnar_samples_bucket_like_pairs():
     trace = simulate_scenario(dataclasses.replace(SHORT, drift_rate=-3e-3), seed=1)
-    dconf = detector_config(SHORT)
+    dconf = SHORT.scenario().detector
     samples = classification_samples(trace, dconf)
     assert samples.elapsed_s.max() >= SHORT.duration_s  # some fall past the horizon
     labels = [None, False, True]
@@ -556,7 +581,7 @@ def test_trace_text_round_trip_is_byte_stable(
 
 def reference_accuracy_experiment(cfg):
     """One curve per replica, pooled with ``AccuracyCurve.merge``."""
-    dconf = detector_config(cfg)
+    dconf = cfg.scenario().detector
     curves = []
     for i in range(cfg.n_seeds):
         samples = classification_samples(simulate_scenario(cfg, cfg.seed + i), dconf)
@@ -567,7 +592,7 @@ def reference_accuracy_experiment(cfg):
 def reference_matrix_row(cfg, behavior):
     """Every replica's outcomes joined, then counted."""
     scen = dataclasses.replace(cfg, behavior=behavior)
-    dconf = detector_config(scen)
+    dconf = scen.scenario().detector
     outcome = np.concatenate(
         [
             classification_samples(simulate_scenario(scen, cfg.seed + i), dconf).outcome

@@ -121,6 +121,12 @@ def test_calibrate_input_validation():
     for bad in (RangingSample(CH37, math.inf, -40.0), RangingSample(CH37, 1.0, math.nan)):
         with pytest.raises(ConfigError):
             calibrate([bad])
+    samples = make_samples(TRUTH, substream(12, "cal"))
+    for pinned in (math.nan, math.inf, 0.0, -2.0):
+        with pytest.raises(ConfigError, match="path_loss_exponent must be finite and positive"):
+            calibrate(samples, path_loss_exponent=pinned)
+    with pytest.raises(FitError, match="fitted model is not finite"):
+        calibrate(samples, path_loss_exponent=1e308)  # 10 * 1e308 overflows
     only_37 = make_samples(TRUTH, substream(12, "cal"), channels=(CH37,))
     with pytest.raises(FitError):
         calibrate(only_37)
@@ -344,16 +350,34 @@ def _outcome(fit, samples, **flags):
         return type(exc), str(exc)
 
 
+def refusing_reference_calibrate(samples, path_loss_exponent=None, channel_aware=True):
+    """reference_calibrate with calibrate's two refusals: a pinned exponent that
+    is not finite and positive, and a model whose fitted values are not finite."""
+    e = path_loss_exponent
+    if e is not None and not 0 < e < math.inf:
+        raise ConfigError(f"path_loss_exponent must be finite and positive, got {e!r}")
+    model = reference_calibrate(samples, path_loss_exponent=e, channel_aware=channel_aware)
+    values = (model.intercept_dbm, model.path_loss_exponent, *model.channel_offset_db)
+    if not all(map(math.isfinite, values)):
+        raise FitError("fitted model is not finite")
+    return model
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     samples=st.lists(
         st.builds(RangingSample, st.sampled_from([CH37, CH38, CH39]), _distances, _readings),
         max_size=60,
     ),
-    exponent=st.one_of(st.none(), st.floats(min_value=-1.0, max_value=6.0)),
+    exponent=st.one_of(
+        st.none(),
+        st.floats(min_value=0.0, max_value=6.0, exclude_min=True),
+        st.sampled_from([-1.0, 0.0, math.nan, math.inf, 1e308]),
+    ),
     aware=st.booleans(),
 )
 def test_calibrate_matches_the_per_reading_fit(samples, exponent, aware):
-    # repr of every field: equal models with bit-identical floats, nan included
+    # repr of every field: equal models with bit-identical floats
     flags = dict(path_loss_exponent=exponent, channel_aware=aware)
-    assert _outcome(calibrate, samples, **flags) == _outcome(reference_calibrate, samples, **flags)
+    expected = _outcome(refusing_reference_calibrate, samples, **flags)
+    assert _outcome(calibrate, samples, **flags) == expected

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from bisect import bisect_right
 
@@ -22,6 +23,8 @@ from blechannel.ranging import RadioLink, friis_rx_power
 from blechannel.simkit import (
     BEHAVIOR_TAGS,
     INTER_BEACON_GAP,
+    AdvertisingEvent,
+    AdvertisingEvents,
     AltInterval,
     BalancedOffset,
     ClockModel,
@@ -86,6 +89,48 @@ def test_gen_advertising_rejects_app_clock_and_empty_channels():
         gen_advertising(
             settings, "d", radio_instant(0), radio_instant(1), substream(1, "a"), channels=()
         )
+    with pytest.raises(ClockMismatchError):
+        AdvertisingEvents.of([AdvertisingEvent(app_instant(0), "d")])
+
+
+def test_instants_past_int64_are_refused_at_once():
+    settings = AdvSettings(Duration.from_seconds(0.1))
+    top = 2**63 - 1
+    started = time.perf_counter()
+    with pytest.raises(ConfigError, match="int64"):
+        gen_advertising(
+            settings, "d", TimeInstant(2**63 - 10**9, RADIO_CLOCK),
+            TimeInstant(2**63 + 10**9, RADIO_CLOCK), substream(1, "a"),
+        )
+    # the last event may start at the end; its third beacon would pass 2**63 - 1
+    with pytest.raises(ConfigError, match="int64"):
+        gen_advertising(
+            settings, "d", TimeInstant(top - 10**9, RADIO_CLOCK),
+            TimeInstant(top - INTER_BEACON_GAP.ns, RADIO_CLOCK), substream(1, "a"),
+        )
+    with pytest.raises(ConfigError, match="int64"):
+        gen_scan_windows(
+            Compliant(), LOW_LATENCY, [TimeInstant(2**63 - 10**9, RADIO_CLOCK)],
+            TimeInstant(2**63 + 10**9, RADIO_CLOCK), substream(1, "w"),
+        )
+    with pytest.raises(ConfigError, match="int64"):
+        gen_scan_windows(
+            Compliant(), LOW_LATENCY, [TimeInstant(-(2**62), RADIO_CLOCK)],
+            TimeInstant(2**62, RADIO_CLOCK), substream(1, "w"),
+        )
+    assert time.perf_counter() - started < 0.5
+    # up to 2**63 - 1 itself, and a window cut short there does not wrap
+    last = top - 2 * INTER_BEACON_GAP.ns
+    events = gen_advertising(
+        settings, "d", TimeInstant(last - 10**9, RADIO_CLOCK), TimeInstant(last, RADIO_CLOCK),
+        substream(1, "a"),
+    )
+    assert 9 <= len(events) <= 11 and events.start_ns[-1] <= last
+    (window,) = gen_scan_windows(
+        Compliant(), LOW_LATENCY, [TimeInstant(top - 10**9, RADIO_CLOCK)],
+        TimeInstant(top, RADIO_CLOCK), substream(1, "w"),
+    )
+    assert (window.start.ns, window.end.ns) == (top - 10**9, top)
 
 
 def test_event_beacons_are_back_to_back_in_channel_order():
@@ -283,6 +328,8 @@ def test_gen_scan_windows_validates_schedule():
         gen_scan_windows(Compliant(), BALANCED, [radio_instant(10)], radio_instant(10), rng)
     with pytest.raises(ClockMismatchError):
         gen_scan_windows(Compliant(), BALANCED, [app_instant(0)], radio_instant(10), rng)
+    with pytest.raises(ClockMismatchError):
+        gen_scan_windows(Compliant(), BALANCED, [radio_instant(0)], app_instant(10), rng)
 
 
 def test_gen_scan_windows_splits_epochs_at_restarts():
