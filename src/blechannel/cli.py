@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -161,7 +162,13 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    ``parse_args`` fills a fresh namespace on every call and no argument
+    keeps a mutable default, so one parser serves every :func:`main` call.
+    """
     parser = argparse.ArgumentParser(
         prog="blechannel",
         description="BLE advertising-channel identification and channel-aware ranging",

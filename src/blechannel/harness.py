@@ -17,6 +17,7 @@ import dataclasses
 import math
 import re
 from collections.abc import Sequence
+from contextlib import contextmanager
 from itertools import chain, product, repeat
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -97,10 +98,94 @@ class TraceFile:
         return tuple([TimeInstant(ns, APP_CLOCK) for ns in self.restarts_ns])
 
 
-# Rows that trace_to_text formats, and trace_from_text converts, at a time.
-# Small blocks keep the cells in flight from raising the peak memory of a
-# write or a parse; from 256 rows up the per-block cost no longer shows.
+# Rows that trace_from_text converts at a time.  Small blocks keep the cells
+# in flight from raising the peak memory of a parse; from 256 rows up the
+# per-block cost no longer shows.
 _TEXT_BLOCK = 1 << 8
+# Rows that trace_to_text formats at a time.  A block's byte matrix is held
+# to about _WRITE_BLOCK * 128 bytes, so very long device ids shorten blocks.
+_WRITE_BLOCK = 1 << 14
+_EST_CODES = {label: code for code, label in enumerate(_LABELS.tolist())}
+_EST_BYTES = np.array(_LABELS.tolist(), "S")
+# "0000" .. "9999" as four bytes each (a view of uint32 keeps their order),
+# then the same with leading zeros as NUL, then a group with nothing in it.
+_DIGIT_GROUPS = np.frombuffer(
+    b"".join(b"%04d" % k for k in range(10**4))
+    + b"".join(b"%4d" % k for k in range(10**4)).replace(b" ", b"\0")
+    + bytes(4),
+    np.uint32,
+)
+# Readings scaled by 1e6 below this are exact integers plus a fraction.
+_FAST_SCALED = 2.0**52
+_COMMA, _NEWLINE, _MINUS, _POINT = b",\n-."
+
+
+def _byte_rows(strings: np.ndarray) -> np.ndarray:
+    """A NUL-padded bytes array (dtype ``S``) as a uint8 matrix, a row each."""
+    return strings.view(np.uint8).reshape(len(strings), strings.itemsize)
+
+
+def _digits(mag: np.ndarray, strip: bool, groups: int = 0) -> np.ndarray:
+    """(n, 4 * groups) ASCII digits of uint64 ``mag`` below 10**(4 * groups),
+    right-aligned; with ``strip`` every leading zero but the units digit is
+    NUL.  ``groups`` defaults to as few as the largest ``mag`` needs."""
+    if not groups:
+        top = int(mag.max(initial=0))
+        groups = next(g for g in range(1, 6) if top < 10 ** (4 * g))
+    out = np.empty((groups, len(mag)), np.uint32)
+    rest = mag
+    for j in range(groups - 1, -1, -1):
+        above = rest // 10**4
+        index = (rest - above * 10**4).astype(np.intp)
+        if strip:  # the leading-NUL table once nothing is above, none once nothing is left
+            index += (above == 0) * 10**4
+            if j < groups - 1:
+                index[rest == 0] = 2 * 10**4
+        out[j] = _DIGIT_GROUPS[index]
+        rest = above
+    return np.ascontiguousarray(out.T).view(np.uint8)
+
+
+def _int_cells(a: np.ndarray) -> np.ndarray:
+    """``str(v)`` of each int64 ``v``, as NUL-padded bytes: sign, then digits."""
+    neg = a < 0
+    mag = a.astype(np.uint64)  # modulo 2**64, so negating gives |v|, -2**63 included
+    mag = np.where(neg, -mag, mag)
+    return np.hstack([np.where(neg, _MINUS, 0).astype(np.uint8)[:, None], _digits(mag, True)])
+
+
+def _reading_cells(x: np.ndarray, blank: np.ndarray) -> np.ndarray:
+    """``format(v, ".6f")`` of each float64 ``v`` as NUL-padded bytes; NUL where ``blank``.
+
+    A cell is formatted here only where the result is certain: ``v`` finite,
+    ``y = |v| * 1e6`` below 2**52 and more than ``y * 2**-52`` away from a
+    tie, which is twice the rounding error of ``y``, so rounding ``y`` half
+    to even gives the digits of the exact product.  Every other cell (nan,
+    inf, huge values, ties such as 1/128 and their near neighbours) is
+    formatted by ``format`` itself.
+    """
+    ax = np.abs(x)
+    small = ax < _FAST_SCALED / 1e6  # False for nan
+    y = np.where(small, ax, 0.0) * 1e6
+    q = np.rint(y).astype(np.uint64)
+    fast = small & ~blank & (y < _FAST_SCALED) & (np.abs(y - np.floor(y) - 0.5) > y * 2.0**-52)
+    slow = ~(fast | blank)
+    whole, frac = np.divmod(q, 10**6)
+    n = len(x)
+    cells = np.hstack([
+        np.where(np.signbit(x), _MINUS, 0).astype(np.uint8)[:, None],
+        _digits(whole, True),
+        np.full((n, 1), _POINT, np.uint8),
+        _digits(frac, False, 2)[:, 2:],
+    ])
+    cells[~fast] = 0
+    if slow.any():
+        texts = _byte_rows(np.array([format(v, ".6f") for v in x[slow].tolist()], "S"))
+        extra = texts.shape[1] - cells.shape[1]
+        if extra > 0:
+            cells = np.hstack([cells, np.zeros((n, extra), np.uint8)])
+        cells[slow, : texts.shape[1]] = texts
+    return cells
 
 
 def trace_to_text(trace: TraceFile) -> str:
@@ -119,30 +204,41 @@ def trace_to_text(trace: TraceFile) -> str:
     for device_id in packets.device_ids:
         if not _DEVICE_ID.fullmatch(device_id):
             raise ConfigError(f"device id not writable to CSV: {device_id!r}")
-    # Each block of rows is one %-format over its cells, row by row: %d for
-    # the time, names and channel texts looked up in small tables, CPython's
-    # own %.6f for the readings and %s for cells written ahead.
-    names = np.array(packets.device_ids, object)
+    if est is not None:
+        est = np.fromiter(map(_EST_CODES.get, est, repeat(-1)), np.intp, len(est))
+        if (est < 0).any():
+            bad = trace.est_labels[int(np.argmax(est < 0))]
+            raise ConfigError(f"est_channel label not writable to CSV: {bad!r}")
+    # Each block of rows is a uint8 matrix, one NUL-padded run of columns per
+    # cell; dropping the NULs leaves the rows' bytes.
+    names = np.array(packets.device_ids, "S")
     codes, channel_code = np.unique(packets.channel, return_inverse=True)
-    channel_text = np.array([str(c) if c else "" for c in codes.tolist()], object)
+    channel_text = np.array([str(c) if c else "" for c in codes.tolist()], "S")
     rssi = packets.rssi_dbm
-    row = "%d,%s,%s,"
-    if rssi is not None and None in rssi:
-        rssi = ["" if r is None else format(r, ".6f") for r in rssi]
-        row += "%s"
-    elif rssi is not None:
-        row += "%.6f"
-    row += "" if est is None else ",%s"
-    text = ["\n".join(lines) + "\n"]
-    for i in range(0, len(packets), _TEXT_BLOCK):
-        cells = [
-            packets.recv_ns[i : i + _TEXT_BLOCK].tolist(),
-            names[packets.device[i : i + _TEXT_BLOCK]].tolist(),
-            channel_text[channel_code[i : i + _TEXT_BLOCK]].tolist(),
+    width = 21 + names.itemsize + channel_text.itemsize + 18 + _EST_BYTES.itemsize + 5
+    step = max(1, min(_WRITE_BLOCK, (_WRITE_BLOCK << 7) // width))
+    body = []
+    for i in range(0, len(packets), step):
+        rows = slice(i, i + step)
+        recv = packets.recv_ns[rows]
+        comma = np.full((len(recv), 1), _COMMA, np.uint8)
+        cols = [
+            _int_cells(recv), comma,
+            _byte_rows(names.take(packets.device[rows])), comma,
+            _byte_rows(channel_text.take(channel_code[rows])), comma,
         ]
-        cells += [c[i : i + _TEXT_BLOCK] for c in (rssi, est) if c is not None]
-        text.append(((row + "\n") * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
-    return "".join(text)
+        if rssi is not None:
+            x = np.array(rssi[rows], np.float64)  # a None reads as nan
+            blank = np.isnan(x)
+            if blank.any():
+                blank = np.array([r is None for r in rssi[rows]])
+            cols.append(_reading_cells(x, blank))
+        if est is not None:
+            cols += [comma, _byte_rows(_EST_BYTES.take(est[rows]))]
+        cols.append(np.full((len(recv), 1), _NEWLINE, np.uint8))
+        block = np.hstack(cols)
+        body.append(block[block != 0].tobytes())
+    return "\n".join(lines) + "\n" + b"".join(body).decode("ascii")
 
 
 def write_text(path: str, text: str) -> None:
@@ -534,8 +630,9 @@ class Scenario(NamedTuple):
     loss: LossModel
     rssi: RssiModel
     detector: DetectorConfig
-    # radio instants at which scanning (re)starts, 0 first
-    restarts: list[TimeInstant]
+    # radio ns at which scanning (re)starts, 0 first; simulate_scenario
+    # makes the instants, so a config that is only checked builds none
+    restarts_ns: range
 
 
 @dataclass
@@ -587,11 +684,13 @@ class ExperimentConfig:
 
         Each cap (``MAX_BUCKETS``, ``MAX_RESTARTS``, ``MAX_EVENTS``,
         ``MAX_WINDOWS``, ``MAX_TIME_NS``) is checked before anything it bounds
-        is built, and the restart schedule is built last.  The ranging fields
-        need ``n_train >= 4``, ``n_test >= 1``, a positive path-loss exponent
-        and ``0 < distance_min_m <= distance_max_m < inf``; the RSSI model's dB
-        figures, and the level it predicts on each channel at both distance
-        bounds, must be finite and within ``MAX_SAMPLE_RSSI_DBM`` of zero.
+        is built; the restart schedule is a ``range`` of ns.  The ranging
+        fields need ``n_train >= 4``, ``n_test >= 1``, a positive path-loss
+        exponent and ``0 < distance_min_m <= distance_max_m < inf``; the RSSI
+        model's dB figures, and the level it predicts on each channel at both
+        distance bounds, must be finite and within ``MAX_SAMPLE_RSSI_DBM`` of
+        zero.  A fault of a part the library checks is named by the config
+        key that sets it.
         """
         if self.n_advertisers < 0:
             raise ConfigError("n_advertisers must be non-negative")
@@ -600,9 +699,10 @@ class ExperimentConfig:
         duration = Duration.from_seconds(self.duration_s)
         if duration.ns <= 0:
             raise ConfigError("duration_s must be positive")
-        clock = ClockModel(
-            drift_rate=self.drift_rate, jitter_range=(self.jitter_min_s, self.jitter_max_s)
-        )
+        with _in_config_keys():
+            clock = ClockModel(
+                drift_rate=self.drift_rate, jitter_range=(self.jitter_min_s, self.jitter_max_s)
+            )
         app_end = duration.ns / (1.0 + self.drift_rate) + self.jitter_max_s * NS_PER_S
         if not (duration.ns < MAX_TIME_NS and app_end < MAX_TIME_NS):
             raise ConfigError("simulated instants must stay below 2**53 ns (about 104 days)")
@@ -622,16 +722,18 @@ class ExperimentConfig:
         if duration.ns // behavior.min_gap_ns(scan) + 2 * n_epochs > MAX_WINDOWS:
             raise ConfigError(f"more than {MAX_WINDOWS} scan windows per replica")
         # the detector is granted what the device really does
-        detector = DetectorConfig(
-            scan_settings=behavior.effective_settings(scan),
-            guard=Duration.from_seconds(self.guard_s),
-            max_scan_time=Duration.from_seconds(self.max_scan_time_s),
-            idle_timeout=Duration.from_seconds(self.idle_timeout_s),
-        )
+        with _in_config_keys():
+            detector = DetectorConfig(
+                scan_settings=behavior.effective_settings(scan),
+                guard=Duration.from_seconds(self.guard_s),
+                max_scan_time=Duration.from_seconds(self.max_scan_time_s),
+                idle_timeout=Duration.from_seconds(self.idle_timeout_s),
+            )
         channels = self.channel_list()
         if self.n_advertisers and not channels:
             raise ConfigError("adv_channels names no channel")
-        loss = LossModel(drop_prob=self.loss_prob)
+        with _in_config_keys():
+            loss = LossModel(drop_prob=self.loss_prob)
         if self.n_train < 4:  # the unknowns of a channel-aware fit
             raise ConfigError("n_train must be at least 4")
         if self.n_test < 1:
@@ -661,9 +763,9 @@ class ExperimentConfig:
             if not abs(level) <= MAX_SAMPLE_RSSI_DBM:  # nan fails too
                 at = f"on channel {ch.id} at {d:g} m is {level:g} dBm"
                 raise ConfigError(f"predicted RSSI {at}, outside {_RSSI_BOUNDS}")
-        restarts = [TimeInstant(ns, RADIO_CLOCK) for ns in range(0, duration.ns, step_ns)]
         return Scenario(
-            scan, adv, behavior, duration, channels, clock, loss, rssi, detector, restarts
+            scan, adv, behavior, duration, channels, clock, loss, rssi, detector,
+            range(0, duration.ns, step_ns),
         )
 
     def validate(self) -> "ExperimentConfig":
@@ -725,6 +827,29 @@ def _parse_config_lines(text: str) -> dict[str, str]:
     return out
 
 
+# The words of the library's ConfigError messages that name a field set by
+# an ExperimentConfig key, and that key.
+_CONFIG_KEY_OF = {
+    "drop_prob": "loss_prob",
+    "guard": "guard_s",
+    "max_scan_time": "max_scan_time_s",
+    "idle_timeout": "idle_timeout_s",
+    "jitter lower bound": "jitter_min_s",
+    "upper bound": "jitter_max_s",
+}
+_LIBRARY_FIELD = re.compile(r"\b(?:" + "|".join(_CONFIG_KEY_OF) + r")\b")
+
+
+@contextmanager
+def _in_config_keys():
+    """Restate a ConfigError of the library in the config keys the user wrote."""
+    try:
+        yield
+    except ConfigError as exc:
+        message = _LIBRARY_FIELD.sub(lambda m: _CONFIG_KEY_OF[m[0]], str(exc))
+        raise ConfigError(message) from None
+
+
 def _preset(name: str, kind: type, what: str):
     settings = preset_settings(name)
     if not isinstance(settings, kind):
@@ -735,7 +860,8 @@ def _preset(name: str, kind: type, what: str):
 def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False) -> TraceFile:
     """One full simulated capture of the configured scenario, as read_trace gives one."""
     parts = cfg.scenario()
-    adv, clock, restarts = parts.adv, parts.clock, parts.restarts
+    adv, clock = parts.adv, parts.clock
+    restarts = [TimeInstant(ns, RADIO_CLOCK) for ns in parts.restarts_ns]
     end = TimeInstant(parts.duration.ns, RADIO_CLOCK)
     windows = gen_scan_windows(parts.behavior, parts.scan, restarts, end, substream(seed, "scan"))
 

@@ -1,19 +1,22 @@
-"""The columnar trace writer, trace parser and RSSI draws against the
-per-row code they replace.
+"""The byte-column trace writer, the columnar trace parser and RSSI draws
+against the code they replace.
 
-``reference_trace_to_text``, ``reference_trace_from_text`` and
-``reference_attach_rssi`` are the row-at-a-time versions kept as the
-references, as ``reference_starts`` is in ``test_advertising_draws.py``.
-The columnar versions must write the same bytes, read the same columns or
-raise the same error for the same line, and give the same readings and
-final generator state.  Small block sizes are patched in so that block
-edges fall between every few rows.
+``reference_trace_to_text`` is the %-format writer that the byte columns
+replaced; ``reference_trace_from_text`` and ``reference_attach_rssi`` are
+the row-at-a-time versions.  They are kept as the references, as
+``reference_starts`` is in ``test_advertising_draws.py``.  The new versions
+must write the same bytes, read the same columns or raise the same error
+for the same line, and give the same readings and final generator state.
+Small block sizes are patched in so that block edges fall between every few
+rows.
 """
 
 import dataclasses
+import math
 import random
+import string
 from dataclasses import replace
-from itertools import repeat
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -45,7 +48,8 @@ from blechannel.simkit import _CHANNEL_OF_ID, Packets, RssiModel, attach_rssi
 
 
 def reference_trace_to_text(trace):
-    """One f-string per row."""
+    """One %-format per 256 rows: %d for the time, names and channel texts
+    from small tables, CPython's own %.6f for the readings."""
     lines = [
         TRACE_MAGIC,
         f"# ts_ns={trace.scan_interval_ns} ds_ns={trace.scan_window_ns} "
@@ -61,14 +65,27 @@ def reference_trace_to_text(trace):
     for device_id in packets.device_ids:
         if not _DEVICE_ID.fullmatch(device_id):
             raise ConfigError(f"device id not writable to CSV: {device_id!r}")
-    names, rssi = packets.device_ids, packets.rssi_dbm or repeat(None)
-    labels = repeat("") if est is None else ("," + e for e in est)
-    columns = zip(packets.recv_ns.tolist(), packets.device.tolist(), packets.channel.tolist())
-    lines += (
-        f"{ns},{names[d]},{c or ''},{'' if r is None else format(r, '.6f')}{e}"
-        for (ns, d, c), r, e in zip(columns, rssi, labels)
-    )
-    return "\n".join(lines) + "\n"
+    names = np.array(packets.device_ids, object)
+    codes, channel_code = np.unique(packets.channel, return_inverse=True)
+    channel_text = np.array([str(c) if c else "" for c in codes.tolist()], object)
+    rssi = packets.rssi_dbm
+    row = "%d,%s,%s,"
+    if rssi is not None and None in rssi:
+        rssi = ["" if r is None else format(r, ".6f") for r in rssi]
+        row += "%s"
+    elif rssi is not None:
+        row += "%.6f"
+    row += "" if est is None else ",%s"
+    text = ["\n".join(lines) + "\n"]
+    for i in range(0, len(packets), 256):
+        cells = [
+            packets.recv_ns[i : i + 256].tolist(),
+            names[packets.device[i : i + 256]].tolist(),
+            channel_text[channel_code[i : i + 256]].tolist(),
+        ]
+        cells += [c[i : i + 256] for c in (rssi, est) if c is not None]
+        text.append(((row + "\n") * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
+    return "".join(text)
 
 
 def reference_trace_from_text(text):
@@ -276,9 +293,78 @@ BLOCKS = st.sampled_from([1, 2, 3, 5, harness._TEXT_BLOCK])
 
 @settings(max_examples=60, deadline=None)
 @given(trace=st.one_of(simulated_traces(), hand_built_traces()), block=BLOCKS)
-def test_writer_matches_the_row_writer(trace, block):
-    with mock.patch.object(harness, "_TEXT_BLOCK", block):
+def test_writer_matches_the_format_writer(trace, block):
+    with mock.patch.object(harness, "_WRITE_BLOCK", block):
         assert trace_to_text(trace) == reference_trace_to_text(trace)
+
+
+def near(x, step):
+    """``x`` itself (step 0) or its float neighbour towards ``step``."""
+    return math.nextafter(x, step * math.inf) if step else x
+
+
+STEPS = st.integers(-1, 1)
+# Readings that put the byte writer's exactness rule to work: every float,
+# the values it hands to format() itself, exact decimal ties (odd multiples
+# of 1/128 are the only ones) and dyadic fractions with their neighbours.
+EDGE_READINGS = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2**52 / 1e6, 2**53 + 0.0]),
+    st.builds(near, st.integers(-(2**45), 2**45).map(lambda j: (2 * j + 1) / 128), STEPS),
+    st.builds(
+        near,
+        st.builds(lambda k, m: k / 2**m, st.integers(-(2**60), 2**60), st.integers(0, 80)),
+        STEPS,
+    ),
+)
+TIMES = st.one_of(
+    st.integers(_INT64_MIN, _INT64_MAX),
+    st.sampled_from([_INT64_MIN, _INT64_MIN + 1, -(10**18), -1, 0, 1, 10**18, _INT64_MAX]),
+)
+
+
+@st.composite
+def edge_traces(draw):
+    """(block, trace): 0, 1 or about a block of rows, with edge cells in every column."""
+    block = draw(st.integers(1, 6))
+    n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]))
+
+    def column(cells):
+        return draw(st.lists(cells, min_size=n, max_size=n))
+
+    id_text = st.text(string.ascii_letters + string.digits + "._:-", min_size=1, max_size=20)
+    names = draw(st.lists(id_text, min_size=1, max_size=4, unique=True))
+    packets = Packets(
+        recv_ns=np.array(sorted(column(TIMES)), np.int64),
+        device=np.array(column(st.integers(0, len(names) - 1)), np.intp),
+        device_ids=tuple(names),
+        channel=np.array(column(st.sampled_from([0, 37, 38, 39])), np.int64),
+        window_index=np.full(n, -1, np.int64),
+        rssi_dbm=column(EDGE_READINGS) if draw(st.booleans()) else None,
+    )
+    labels = tuple(column(st.sampled_from(sorted(EST_LABELS)))) if draw(st.booleans()) else None
+    return block, TraceFile(4_096_000_000, 1_024_000_000, "compliant", 3, (0,), packets, labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=edge_traces())
+def test_byte_writer_matches_the_format_writer_on_edge_cells(case):
+    block, trace = case
+    with mock.patch.object(harness, "_WRITE_BLOCK", block):
+        assert trace_to_text(trace) == reference_trace_to_text(trace)
+
+
+@pytest.mark.parametrize("label", ["x,y", "3\x007", "", "Guard", " 37", "37\n38"])
+def test_writer_refuses_labels_the_reader_refuses(label):
+    packets = cycling_packets(3, [-50.5, None, -61.25])
+    trace = TraceFile(4_096_000_000, 1_024_000_000, "compliant", 3, packets=packets,
+                      est_labels=("37", label, "39"))
+    with pytest.raises(ConfigError) as exc:
+        trace_to_text(trace)
+    assert str(exc.value) == f"est_channel label not writable to CSV: {label!r}"
+    with pytest.raises(TraceParseError):
+        trace_from_text(reference_trace_to_text(trace))
 
 
 # Cells that each column of a trace row may be replaced with: valid cells

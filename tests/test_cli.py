@@ -254,6 +254,22 @@ def test_classify_guard_width_changes_coverage(tmp_path, capsys):
     assert not math.isnan(guard_count(wide))
 
 
+def test_main_calls_share_no_parser_state(tmp_path, capsys):
+    """Every main() call parses with the one cached parser; no value carries over."""
+    trace_path = tmp_path / "trace.csv"
+    simulate = ["simulate", "--seed", "4", "--duration", "30", "--out", str(trace_path)]
+    assert run([*simulate, "--no-rssi"]) == 0
+    assert run(simulate) == 0
+    assert all(p.rssi_dbm is not None for p in read_trace(str(trace_path)).packets)
+    capsys.readouterr()
+    outs = []
+    for guard in (["--guard", "0.5"], [], ["--guard", "0.2"]):
+        assert run(["classify", "--in", str(trace_path), *guard]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[2] != outs[0]
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize(
     "setting,message",
     [
@@ -274,7 +290,8 @@ def test_unrunnable_configs_are_one_line_config_errors(
     def no_schedule(*args):
         raise AssertionError("the restart schedule was built")
 
-    # the restart schedule is the only TimeInstant ExperimentConfig.scenario() makes
+    # ExperimentConfig.scenario() holds the restart schedule as ns; only
+    # simulate_scenario makes its instants, after the config is accepted
     monkeypatch.setattr(harness, "TimeInstant", no_schedule)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(setting + "\n", encoding="utf-8")
@@ -313,6 +330,7 @@ def test_every_experiment_command_validates_its_config(tmp_path, capsys, command
 
 
 IN_BOUNDS = "must be a finite value in [-200, 200]"
+FROM_SEVERAL_KEYS = ("more than", "guard_s must be", "predicted RSSI")
 PREDICTED, OUT = "predicted RSSI on channel 37 at", "outside [-200, 200]"
 
 
@@ -340,7 +358,7 @@ PREDICTED, OUT = "predicted RSSI on channel 37 at", "outside [-200, 200]"
             "n_advertisers = 0\nduration_s = 8e6\nbucket_s = 100",
             "more than 10000000 scan windows per replica",
         ),
-        ("matrix", "alt_interval_s = 0.1", "guard must be non-negative and below the scan interval"),
+        ("matrix", "alt_interval_s = 0.1", "guard_s must be non-negative and below the scan interval"),
         ("simulate", "channel_offsets_db = nan,0,0", f"channel_offsets_db {IN_BOUNDS}"),
         ("simulate", "tx_power_dbm = 1e308", f"tx_power_dbm {IN_BOUNDS}"),
         ("simulate", "shadow_sigma_db = 1e308", f"shadow_sigma_db {IN_BOUNDS}"),
@@ -368,10 +386,12 @@ PREDICTED, OUT = "predicted RSSI on channel 37 at", "outside [-200, 200]"
             for setting, message in [
                 ("adv_channels = 40", "bad adv_channels '40': not an advertising channel: 40"),
                 ("adv_channels = ,", "adv_channels names no channel"),
-                ("loss_prob = 2", "drop_prob must be within [0, 1]"),
-                ("guard_s = 5", "guard must be non-negative and below the scan interval"),
-                ("max_scan_time_s = 4000", "max_scan_time must be positive and at most 1800 s"),
-                ("idle_timeout_s = 0", "idle_timeout must be positive"),
+                ("loss_prob = 2", "loss_prob must be within [0, 1]"),
+                ("guard_s = 5", "guard_s must be non-negative and below the scan interval"),
+                ("max_scan_time_s = 4000", "max_scan_time_s must be positive and at most 1800 s"),
+                ("idle_timeout_s = 0", "idle_timeout_s must be positive"),
+                ("jitter_min_s = 2", "need 0 <= jitter_min_s <= jitter_max_s"),
+                ("jitter_min_s = -1\njitter_max_s = 1", "need 0 <= jitter_min_s <= jitter_max_s"),
             ]
         ),
     ],
@@ -395,6 +415,10 @@ def test_config_faults_refuse_before_any_draw(
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    # a fault of one key names a key the config sets; the caps, the guard
+    # against the scan interval and the predicted levels rest on several
+    keys = [line.partition(" =")[0] for line in setting.splitlines()]
+    assert any(key in err for key in keys) or message.startswith(FROM_SEVERAL_KEYS)
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -26,6 +26,7 @@ from blechannel.harness import (
     read_trace,
     run_accuracy_experiment,
     run_compatibility_matrix,
+    run_ranging_experiment,
     simulate_scenario,
     trace_from_text,
     trace_to_text,
@@ -372,6 +373,21 @@ def test_every_part_is_built_once_per_call(monkeypatch):
     built.clear()
     simulate_scenario(SHORT, seed=1, with_rssi=True)
     assert sorted(built) == once
+
+
+def test_scenario_holds_the_restart_schedule_as_ns(monkeypatch):
+    """Checking a config, or ranging with it, makes no instant per restart."""
+    cfg = ExperimentConfig(restart_every_s=0.006)
+
+    def no_instant(*args):
+        raise AssertionError("a TimeInstant was built")
+
+    monkeypatch.setattr(harness, "TimeInstant", no_instant)
+    assert cfg.scenario().restarts_ns == range(0, 600 * 10**9, 6 * 10**6)
+    run_ranging_experiment(cfg)
+    monkeypatch.undo()
+    short = dataclasses.replace(SHORT, restart_every_s=7.0)
+    assert simulate_scenario(short, seed=1).restarts_ns[:2] == (0, 7 * 10**9)
 
 
 def test_run_accuracy_experiment_compliant_is_clean():
