@@ -118,6 +118,11 @@ _DIGIT_GROUPS = np.frombuffer(
 # Readings scaled by 1e6 below this are exact integers plus a fraction.
 _FAST_SCALED = 2.0**52
 _COMMA, _NEWLINE, _MINUS, _POINT = b",\n-."
+# The channel id of each true_channel cell the reader takes as is, and the
+# same cells by id, ids ascending, for the writer.
+_CHANNEL_CELLS = {"": 0, **{str(c): c for c in CHANNEL_FREQ_HZ}}
+_CHANNEL_IDS = np.array(sorted(_CHANNEL_CELLS.values()), np.int64)
+_CHANNEL_TEXT = np.array(sorted(_CHANNEL_CELLS, key=_CHANNEL_CELLS.get), "S")
 
 
 def _byte_rows(strings: np.ndarray) -> np.ndarray:
@@ -189,18 +194,29 @@ def _reading_cells(x: np.ndarray, blank: np.ndarray) -> np.ndarray:
 
 
 def trace_to_text(trace: TraceFile) -> str:
-    lines = [
-        TRACE_MAGIC,
-        f"# ts_ns={trace.scan_interval_ns} ds_ns={trace.scan_window_ns} "
-        f"behavior={trace.behavior_tag} seed={trace.seed}",
-    ]
-    if trace.restarts_ns != (0,):
-        lines.append("# restarts_ns=" + ",".join(str(ns) for ns in trace.restarts_ns))
+    """The trace as CSV text; ConfigError for what ``trace_from_text`` would
+    refuse or read back differently, its header checked by the reader itself."""
+    meta = (trace.scan_interval_ns, trace.scan_window_ns, trace.behavior_tag, trace.seed)
+    restarts = tuple(trace.restarts_ns)
+    lines = [TRACE_MAGIC, "# ts_ns=%s ds_ns=%s behavior=%s seed=%s" % meta]
+    if restarts != (0,):
+        lines.append("# restarts_ns=" + ",".join(map(str, restarts)))
     packets = Packets.of(trace.packets)
     est = trace.est_labels
     if est is not None and len(est) != len(packets):
         raise ConfigError("one est_channel label per packet required")
     lines.append(TRACE_COLUMNS + ("," + EST_COLUMN if est is not None else ""))
+    try:
+        written = _trace_header(lines)
+    except TraceParseError as exc:
+        raise ConfigError(f"trace header not writable: {exc}") from None
+    if written[:2] != (meta, restarts):
+        raise ConfigError("trace metadata would not read back as written")
+    channel_code = np.searchsorted(_CHANNEL_IDS, packets.channel).clip(max=len(_CHANNEL_IDS) - 1)
+    unwritable = _CHANNEL_IDS[channel_code] != packets.channel
+    if unwritable.any():
+        bad = int(packets.channel[np.argmax(unwritable)])
+        raise ConfigError(f"true_channel not writable to CSV: {bad}")
     for device_id in packets.device_ids:
         if not _DEVICE_ID.fullmatch(device_id):
             raise ConfigError(f"device id not writable to CSV: {device_id!r}")
@@ -212,10 +228,8 @@ def trace_to_text(trace: TraceFile) -> str:
     # Each block of rows is a uint8 matrix, one NUL-padded run of columns per
     # cell; dropping the NULs leaves the rows' bytes.
     names = np.array(packets.device_ids, "S")
-    codes, channel_code = np.unique(packets.channel, return_inverse=True)
-    channel_text = np.array([str(c) if c else "" for c in codes.tolist()], "S")
     rssi = packets.rssi_dbm
-    width = 21 + names.itemsize + channel_text.itemsize + 18 + _EST_BYTES.itemsize + 5
+    width = 21 + names.itemsize + _CHANNEL_TEXT.itemsize + 18 + _EST_BYTES.itemsize + 5
     step = max(1, min(_WRITE_BLOCK, (_WRITE_BLOCK << 7) // width))
     body = []
     for i in range(0, len(packets), step):
@@ -225,7 +239,7 @@ def trace_to_text(trace: TraceFile) -> str:
         cols = [
             _int_cells(recv), comma,
             _byte_rows(names.take(packets.device[rows])), comma,
-            _byte_rows(channel_text.take(channel_code[rows])), comma,
+            _byte_rows(_CHANNEL_TEXT.take(channel_code[rows])), comma,
         ]
         if rssi is not None:
             x = np.array(rssi[rows], np.float64)  # a None reads as nan
@@ -245,6 +259,15 @@ def write_text(path: str, text: str) -> None:
     """Write an output file: UTF-8 with LF line endings on every platform."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
+
+
+def read_text(path: str, error: type[ValueError]) -> str:
+    """An input file's text; ``error`` (one line) if it is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
@@ -283,9 +306,6 @@ def _table_rows(text: str, columns: str, message: str):
     if head == len(lines) or lines[head].strip() != columns:
         raise TraceParseError(message, line=head + 1)
     return _csv_rows(lines, head + 1, columns.count(",") + 1)
-
-
-_CHANNEL_CELLS = {"": 0, **{str(c): c for c in CHANNEL_FREQ_HZ}}
 
 
 def _channel_cell(cell: str) -> int | None:
@@ -352,23 +372,22 @@ def _trace_block(block: list[str], lineno: int, has_est: bool, device_ids: dict,
     return recv, device, channel, rssi, est
 
 
-def trace_from_text(text: str) -> TraceFile:
-    lines = text.splitlines()
+def _trace_header(lines: list[str]):
+    """Check a trace's header lines: its (ts_ns, ds_ns, behavior, seed), its
+    restarts_ns, whether it has the est_channel column, and the index of its
+    column header line."""
     if not lines or lines[0].strip() != TRACE_MAGIC:
         raise TraceParseError(f"missing {TRACE_MAGIC!r} magic", line=1)
     if len(lines) < 2 or not lines[1].startswith("#"):
         raise TraceParseError("missing metadata line", line=2)
-    meta = _parse_meta_tokens(lines[1], 2)
+    tokens = _parse_meta_tokens(lines[1], 2)
     try:
-        scan_interval_ns = int(meta["ts_ns"])
-        scan_window_ns = int(meta["ds_ns"])
-        behavior = meta["behavior"]
-        seed = int(meta["seed"])
+        meta = (int(tokens["ts_ns"]), int(tokens["ds_ns"]), tokens["behavior"], int(tokens["seed"]))
     except KeyError as exc:
         raise TraceParseError(f"metadata key {exc.args[0]} missing", line=2) from exc
     except ValueError as exc:
         raise TraceParseError(f"bad metadata: {exc}", line=2) from exc
-    if not 0 < scan_window_ns <= scan_interval_ns <= _INT64_MAX:
+    if not 0 < meta[1] <= meta[0] <= _INT64_MAX:
         raise TraceParseError("need 0 < ds_ns <= ts_ns < 2**63", line=2)
 
     restarts = (0,)
@@ -398,7 +417,12 @@ def trace_from_text(text: str) -> TraceFile:
         has_est = True
     else:
         raise TraceParseError(f"unexpected columns {header!r}", line=i + 1)
+    return meta, restarts, has_est, i
 
+
+def trace_from_text(text: str) -> TraceFile:
+    lines = text.splitlines()
+    (scan_interval_ns, scan_window_ns, behavior, seed), restarts, has_est, i = _trace_header(lines)
     # Padding stripped and blank lines dropped once, each row keeping its
     # 1-based file line; then _TEXT_BLOCK rows at a time.  A block that fails
     # is read again one row at a time, so the error names the first bad line.
@@ -441,8 +465,7 @@ def trace_from_text(text: str) -> TraceFile:
 
 
 def read_trace(path: str) -> TraceFile:
-    with open(path, "r", encoding="utf-8") as f:
-        return trace_from_text(f.read())
+    return trace_from_text(read_text(path, TraceParseError))
 
 
 class _Counted:
@@ -535,8 +558,7 @@ class AccuracyCurve:
 
     @classmethod
     def read(cls, path: str) -> "AccuracyCurve":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_csv_text(f.read())
+        return cls.from_csv_text(read_text(path, TraceParseError))
 
 
 # Upper bounds on what one config may ask for, so that a typo gives a
@@ -806,8 +828,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_text(f.read())
+        return cls.from_text(read_text(path, ConfigError))
 
 
 def _parse_config_lines(text: str) -> dict[str, str]:
@@ -1041,8 +1062,8 @@ def run_ranging_experiment(cfg: ExperimentConfig) -> RangingResult:
 
 
 def read_samples_csv(path: str) -> list[RangingSample]:
-    with open(path, "r", encoding="utf-8") as f:
-        rows = _table_rows(f.read(), SAMPLES_COLUMNS, f"expected {SAMPLES_COLUMNS!r} header")
+    text = read_text(path, TraceParseError)
+    rows = _table_rows(text, SAMPLES_COLUMNS, f"expected {SAMPLES_COLUMNS!r} header")
     samples = []
     for lineno, parts in rows:
         try:

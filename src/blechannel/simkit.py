@@ -267,11 +267,15 @@ _OTHERS = {c: tuple(o for o in ADVERTISING_CHANNELS if o != c) for c in ADVERTIS
 
 
 def _random_walk(rng: random.Random):
-    """Channel ids from 37 on, each next one drawn uniformly from the other two."""
-    ch = 37
+    """Channel ids from 37 on, each next one drawn uniformly from the other two
+    as CPython's ``choice`` does: ``getrandbits(2)`` until it is below 2."""
+    bits, ch = rng.getrandbits, 37
     while True:
         yield ch
-        ch = rng.choice(_OTHERS[ch])
+        r = bits(2)
+        while r >= 2:
+            r = bits(2)
+        ch = _OTHERS[ch][r]
 
 
 def _cadence(start_ns, end_ns, interval_ns, window_ns, channels) -> ScanWindows:
@@ -348,21 +352,6 @@ class AltInterval(Compliant):
         return self._own
 
 
-# Most Mersenne Twister words one block of RapidToggle.windows draws; its
-# walk holds four tables of this length, so this bounds its memory.
-_TOGGLE_BLOCK = 1 << 12
-
-
-def _next_true(ok: np.ndarray, stride: int) -> array:
-    """``out[p]`` (p <= len(ok)): the first of p, p + stride, ... where ``ok`` holds, or len(ok)."""
-    m = len(ok)
-    at = np.where(ok, np.arange(m), m)
-    out = np.full(m + 1, m)
-    for r in range(stride):
-        out[r:m:stride] = np.minimum.accumulate(at[r::stride][::-1])[::-1]
-    return array("q", out.tobytes())
-
-
 class RapidToggle(ScannerBehavior):
     """Back-to-back short windows hopping to a random other channel each time.
 
@@ -386,56 +375,31 @@ class RapidToggle(ScannerBehavior):
         return self.min_window.ns
 
     def windows(self, settings, epochs, rng):
-        """Each window draws ``randrange(min, max + 1)``, then the next channel.
-
-        That is one ``choice`` of the other two, also after an epoch's last
-        window.  CPython takes both from whole Mersenne Twister words: w-word
-        duration candidates until one is below the width, ``word >> 30`` until
-        it is below 2.  So the words come in blocks of no more than the
-        windows certain to come will use, and the walk looks up the next
-        accepted word of each kind: the same windows and final ``rng`` state.
-        """
-        lo, hi = self.min_window.ns, self.max_window.ns
-        width = hi - lo + 1
+        """Each window draws ``randrange(min, max + 1)`` as CPython does, then
+        hops; so does an epoch's last window.  The windows go straight into
+        int64 columns, with no object per window."""
+        lo = self.min_window.ns
+        width = self.max_window.ns - lo + 1
         k = width.bit_length()
-        w = (k - 1) // 32 + 1
-        spans = [(start.ns, end.ns) for start, end in epochs if start.ns < end.ns]
-        ahead = sum(-(-(end - start) // hi) for start, end in spans)  # windows certain to come
-
-        def block(rest, pending, cursor, end):
-            need = pending + (w + 1) * (ahead + -(-max(end - cursor, 0) // hi))
-            words = np.concatenate([rest, _words(rng, min(need, _TOGGLE_BLOCK) - len(rest))])
-            cand = words[w - 1 :].astype(np.uint64) >> (32 * w - k)  # w <= 2 below 2**63
-            if w == 2:
-                cand = cand << 32 | words[:-1]
-            ok = np.append(cand < width, np.zeros(w - 1, bool))
-            cand += lo  # a rejected candidate may wrap; it is never read
-            next_dur, next_ch = _next_true(ok, w), _next_true(words < 1 << 31, 1)
-            return words, next_dur, array("q", cand.tobytes()), next_ch, (words >> 30).tolist()
-
-        starts, ends, ids = array("q"), array("q"), array("q")  # no int object per window
-        words, m, p, next_dur = np.zeros(0, np.uint32), 0, 0, [0]
-        for cursor, end in spans:
-            ahead -= -(-(end - cursor) // hi)
-            first, ch = len(starts), 37
-            while cursor < end:
-                q = next_dur[p]
-                while q == m:
-                    rest = words[m - (m - p) % w :]  # a candidate cut off by the block's end
-                    words, next_dur, step, next_ch, bit = block(rest, 0, cursor, end)
-                    m, p = len(words), 0
-                    q = next_dur[0]
+        bits = rng.getrandbits
+        starts, ends, ids = array("q"), array("q"), array("q")
+        for start, end in epochs:
+            cursor, stop, first = start.ns, end.ns, len(starts)
+            if cursor >= stop:
+                continue
+            walk = _random_walk(rng)
+            for ch in walk:
                 starts.append(cursor)
                 ids.append(ch)
-                cursor += step[q]
-                r = next_ch[q + w]
-                while r == m:
-                    words, next_dur, step, next_ch, bit = block(words[m:], 1, cursor, end)
-                    m = len(words)
-                    r = next_ch[0]
-                ch, p = _OTHERS[ch][bit[r]], r + 1
+                r = bits(k)  # randrange: k-bit draws until one is below the width
+                while r >= width:
+                    r = bits(k)
+                cursor += lo + r
+                if cursor >= stop:
+                    break
+            next(walk)  # the hop after an epoch's last window is drawn too
             ends += starts[first + 1 :]
-            ends.append(end)
+            ends.append(stop)
         return ScanWindows(*[np.frombuffer(col, np.int64) for col in (starts, ends, ids)])
 
 

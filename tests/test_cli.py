@@ -228,6 +228,24 @@ def test_unreadable_input_is_a_data_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, code",
+    [
+        ("classify", "--in", 1),
+        ("calibrate", "--in", 1),
+        ("simulate", "--config", 2),
+        ("accuracy", "--config", 2),
+    ],
+)
+def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command, flag, code):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes("# blechannel-trace v1\n".encode("utf-16"))  # starts with \xff\xfe
+    out = tmp_path / "out.csv"
+    assert run([command, flag, str(bad), "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: invalid start byte at byte 0\n"
+    assert not out.exists()
+
+
 def test_missing_required_arguments_exit_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["simulate"])  # --out is required

@@ -1,11 +1,12 @@
 """The CPython draw contract the simulator's bulk draws rely on.
 
-``_event_starts``, ``_gauss_draws`` and ``RapidToggle.windows`` read a
-``random.Random`` as a stream of 32-bit Mersenne Twister words instead of
-calling ``randrange``, ``choice`` or ``random`` once per value.  That only
-gives the same numbers if the interpreter draws those values from whole
-words in the way checked here.  Standard library only, so it runs on any
-interpreter without numpy:
+``_event_starts`` and ``_gauss_draws`` read a ``random.Random`` as a stream
+of 32-bit Mersenne Twister words instead of calling ``randrange`` or
+``random`` once per value.  ``RapidToggle.windows`` and the channel walk of
+the random-hop scanners call ``getrandbits`` themselves where ``randrange``
+and ``choice`` would.  Both only give the same numbers if the interpreter
+draws those values in the way checked here.  Standard library only, so it
+runs on any interpreter without numpy:
 
     python tests/test_draw_contract.py
 """
@@ -38,6 +39,15 @@ def words_below(rng, n):
         cand = sum(word << (32 * j) for j, word in enumerate(words))
         if cand < n:
             return cand
+
+
+def first_below(rng, n):
+    """The first ``getrandbits(n.bit_length())`` below n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def test_short_getrandbits_is_the_top_of_one_word():
@@ -77,6 +87,27 @@ def test_choice_of_two_or_three_rejects_whole_words():
             got = [a.choice(items) for _ in range(200)]
             assert got == [items[words_below(b, len(items))] for _ in range(200)]
             assert a.getstate() == b.getstate()
+
+
+def test_randrange_is_the_first_short_draw_below_the_width():
+    # every width from 1 to 55 bits, so one- and two-word draws alike
+    widths = sorted({2**j + d for j in range(54) for d in (0, 1)} | {5, 100_000_001, 2**54})
+    for seed in SEEDS:
+        for width in widths:
+            a, b = clones(seed)
+            lo = 100_000_000
+            got = [a.randrange(lo, lo + width) for _ in range(40)]
+            assert got == [lo + first_below(b, width) for _ in range(40)]
+            assert a.getstate() == b.getstate()
+
+
+def test_choice_of_two_is_the_first_two_bit_draw_below_two():
+    for seed in SEEDS:
+        a, b = clones(seed)
+        items = (38, 39)
+        got = [a.choice(items) for _ in range(200)]
+        assert got == [items[first_below(b, 2)] for _ in range(200)]
+        assert a.getstate() == b.getstate()
 
 
 def test_random_takes_two_words():

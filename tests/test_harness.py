@@ -34,7 +34,7 @@ from blechannel.harness import (
     write_trace,
 )
 from blechannel.ranging import RangingSample
-from blechannel.simkit import PacketRecord
+from blechannel.simkit import PacketRecord, Packets
 
 CH37 = Channel.of(37)
 CH38 = Channel.of(38)
@@ -111,6 +111,37 @@ def test_trace_to_text_validates_labels_and_ids():
         trace_to_text(dataclasses.replace(tf, est_labels=("37", "38")))
     with pytest.raises(ConfigError):
         trace_to_text(dataclasses.replace(tf, packets=(packet(1, device="a,b"),)))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"restarts_ns": ()}, "bad restarts_ns list"),
+        ({"restarts_ns": (5, 3)}, "strictly increasing"),
+        ({"scan_interval_ns": 0}, "need 0 < ds_ns <= ts_ns"),
+        ({"scan_window_ns": 4_096_000_001}, "need 0 < ds_ns <= ts_ns"),
+        ({"behavior_tag": "a b"}, "bad metadata token 'b'"),
+        ({"behavior_tag": "a seed=3"}, "would not read back"),
+    ],
+)
+def test_trace_headers_the_reader_refuses_are_not_written(tmp_path, change, message):
+    tf = TraceFile(4_096_000_000, 1_024_000_000, "compliant", 0, packets=(packet(1),))
+    path = tmp_path / "t.csv"
+    with pytest.raises(ConfigError, match=message) as exc:
+        write_trace(dataclasses.replace(tf, **change), str(path))
+    assert "\n" not in str(exc.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("channel", [5, -1, 36, 40, 2**40])
+def test_trace_channel_ids_the_reader_refuses_are_not_written(tmp_path, channel):
+    packets = Packets.of((packet(1), packet(2, channel=None), packet(3, channel=39)))
+    packets = dataclasses.replace(packets, channel=np.array([37, 0, channel], np.int64))
+    tf = TraceFile(4_096_000_000, 1_024_000_000, "compliant", 0, packets=packets)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ConfigError, match=f"true_channel not writable to CSV: {channel}$"):
+        write_trace(tf, str(path))
+    assert not path.exists()
 
 
 GOOD_HEADER = "# blechannel-trace v1\n# ts_ns=4096000000 ds_ns=1024000000 behavior=compliant seed=1\nrecv_time_ns,device_id,true_channel,rssi_dbm\n"

@@ -34,7 +34,6 @@ from blechannel.simkit import (
     NonStandardOrder,
     RapidToggle,
     RssiModel,
-    _TOGGLE_BLOCK,
     app_anchor_times,
     attach_rssi,
     behavior_from_tag,
@@ -226,7 +225,7 @@ def test_rapid_toggle_draws_like_its_reference(seed, bounds):
 @pytest.mark.parametrize(
     "behavior, edges",
     [
-        # about 10k windows, several times the words of one block
+        # about 10k windows, each drawing two words or more
         (RapidToggle(), (0.0, 333.333, 777.7, 777.7, 1234.5, 1500.0)),
         # spreads above 2**32 ns take two words per duration candidate
         (RapidToggle(Duration(1), Duration(2**32 + 1)), (0.0, 9_999.9, 20_000.0, 36_000.0)),
@@ -236,7 +235,7 @@ def test_rapid_toggle_long_runs_draw_like_the_reference(behavior, edges):
     epochs = epochs_s(*zip(edges, edges[1:]))
     rng, ref_rng = substream(3, "w"), substream(3, "w")
     windows = behavior.windows(LOW_LATENCY, epochs, rng)
-    assert 2 * len(windows) > 4 * _TOGGLE_BLOCK  # each window takes two words or more
+    assert 2 * len(windows) > 4 * 4096  # each window takes two words or more
     got = list(zip(windows.start_ns.tolist(), windows.end_ns.tolist(), windows.channel.tolist()))
     assert got == reference_rapid_toggle(behavior, epochs, ref_rng)
     assert rng.getstate() == ref_rng.getstate()
