@@ -74,6 +74,8 @@ class DetectorConfig:
     idle_timeout: Duration = DEFAULT_IDLE_TIMEOUT
 
     def __post_init__(self):
+        if self.scan_settings.scan_interval.ns < 2:
+            raise ConfigError("scan interval must be at least 2 ns")
         if not 0 <= self.guard.ns < self.scan_settings.scan_interval.ns:
             raise ConfigError("guard must be non-negative and below the scan interval")
         if not 0 < self.max_scan_time.ns <= MAX_SCAN_TIME_CEILING.ns:
@@ -126,31 +128,30 @@ def classify_time(
     return _classification(GUARD if guarded else CHANNEL, slot, rem, anchor, interval)
 
 
-def _anchor_index(recv_ns: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Latest sorted restart at or before each arrival, else the first."""
-    return np.maximum(np.searchsorted(starts, recv_ns, side="right") - 1, 0)
-
-
 def classify_ns(recv_ns, restart_ns, interval_ns: int, guard_ns: int):
-    """The columnar classifier: ``(kind, slot, rem)`` int64 arrays.
+    """The columnar classifier: ``(kind, slot, rem, anchor)`` int64 arrays.
 
     Each arrival (int64 ns, any order) is measured from the latest restart
-    at or before it; ``kind`` holds KINDS codes, and a CHANNEL packet's
-    channel is ``37 + slot % 3``.  Pre-start rows have slot and rem 0.
-    Elapsed times are taken in uint64, so any two int64 instants are exact.
-    Needs ``interval_ns >= 2`` (slots then fit int64) and
-    ``0 <= guard_ns < interval_ns``.
+    at or before it; ``anchor`` indexes that restart in the sorted
+    restarts (the first for an arrival before them all).  ``kind`` holds
+    KINDS codes, and a CHANNEL packet's channel is ``37 + slot % 3``.
+    Pre-start rows have slot and rem 0.  Elapsed times are taken in
+    uint64, so any two int64 instants are exact.  Needs ``interval_ns >=
+    2`` (slots then fit int64; DetectorConfig enforces it) and ``0 <=
+    guard_ns < interval_ns``.
     """
     recv = np.asarray(recv_ns, dtype=np.int64)
     starts = np.sort(np.asarray(restart_ns, dtype=np.int64))
     if not starts.size:
         raise ConfigError("need at least one scan start to classify against")
-    anchor = starts[_anchor_index(recv, starts)]
-    pre = recv < anchor
-    delta = recv.view(np.uint64) - anchor.view(np.uint64)
+    anchor = np.maximum(np.searchsorted(starts, recv, side="right") - 1, 0)
+    start = starts[anchor]
+    pre = recv < start
+    delta = recv.view(np.uint64) - start.view(np.uint64)
     slot, rem, guarded = _slot_rule(delta, np.uint64(interval_ns), np.uint64(guard_ns))
     kind = np.where(pre, PRE_START, np.where(guarded, GUARD, CHANNEL))
-    return kind, np.where(pre, 0, slot.astype(np.int64)), np.where(pre, 0, rem.astype(np.int64))
+    slot = np.where(pre, 0, slot.astype(np.int64))
+    return kind, slot, np.where(pre, 0, rem.astype(np.int64)), anchor
 
 
 class SessionMode(enum.Enum):
@@ -239,11 +240,12 @@ _LABELS = np.array(["37", "38", "39", "guard", "pre-start"], dtype=object)
 class ClassifiedPackets(ColumnView):
     """:func:`classify_trace`'s kernel columns; items are :class:`ClassifiedPacket`.
 
-    ``anchor`` indexes the sorted ``restarts``.
+    ``anchor`` indexes ``restart_ns``, the sorted restarts on ``clock``.
     """
 
     packets: Sequence
-    restarts: tuple[TimeInstant, ...]
+    restart_ns: np.ndarray
+    clock: str
     interval_ns: int
     kind: np.ndarray
     slot: np.ndarray
@@ -254,7 +256,7 @@ class ClassifiedPackets(ColumnView):
         return len(self.kind)
 
     def _item(self, i: int) -> ClassifiedPacket:
-        anchor = self.restarts[self.anchor[i]]
+        anchor = TimeInstant(int(self.restart_ns[self.anchor[i]]), self.clock)
         kind, slot, rem = int(self.kind[i]), int(self.slot[i]), int(self.rem[i])
         result = _classification(kind, slot, rem, anchor, self.interval_ns)
         return ClassifiedPacket(self.packets[i], result, anchor)
@@ -279,17 +281,14 @@ def classify_trace(packets, restarts, config: DetectorConfig) -> ClassifiedPacke
     back as pre-start.  ``packets`` is a column view with ``recv_ns`` and
     ``clock``, or any records with a ``recv`` instant, in any order.
     """
-    restarts = tuple(sorted(restarts, key=lambda r: r.ns))
-    if not restarts:
-        raise ConfigError("need at least one scan start to classify against")
+    restarts = tuple(restarts)
     recv = getattr(packets, "recv_ns", None)
     clocks = {packets.clock} if recv is not None else {p.recv.clock for p in packets}
-    if clocks | {r.clock for r in restarts} != {restarts[0].clock}:
+    if len(clocks | {r.clock for r in restarts}) > 1:
         raise ClockMismatchError("packets and restarts must share one clock")
     if recv is None:
         recv = np.array([p.recv.ns for p in packets], dtype=np.int64)
-    starts = np.array([r.ns for r in restarts], dtype=np.int64)
+    starts = np.sort(np.array([r.ns for r in restarts], dtype=np.int64))
     interval = config.scan_settings.scan_interval.ns
-    kind, slot, rem = classify_ns(recv, starts, interval, config.guard.ns)
-    anchor = _anchor_index(recv, starts)
-    return ClassifiedPackets(packets, restarts, interval, kind, slot, rem, anchor)
+    kind, slot, rem, anchor = classify_ns(recv, starts, interval, config.guard.ns)
+    return ClassifiedPackets(packets, starts, restarts[0].clock, interval, kind, slot, rem, anchor)

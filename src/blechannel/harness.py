@@ -51,7 +51,6 @@ from .simkit import (
     Packets,
     RssiModel,
     ScannerBehavior,
-    app_anchor_times,
     attach_rssi,
     behavior_from_tag,
     gen_advertising,
@@ -105,8 +104,6 @@ _TEXT_BLOCK = 1 << 8
 # Rows that trace_to_text formats at a time.  A block's byte matrix is held
 # to about _WRITE_BLOCK * 128 bytes, so very long device ids shorten blocks.
 _WRITE_BLOCK = 1 << 14
-_EST_CODES = {label: code for code, label in enumerate(_LABELS.tolist())}
-_EST_BYTES = np.array(_LABELS.tolist(), "S")
 # "0000" .. "9999" as four bytes each (a view of uint32 keeps their order),
 # then the same with leading zeros as NUL, then a group with nothing in it.
 _DIGIT_GROUPS = np.frombuffer(
@@ -220,16 +217,14 @@ def trace_to_text(trace: TraceFile) -> str:
     for device_id in packets.device_ids:
         if not _DEVICE_ID.fullmatch(device_id):
             raise ConfigError(f"device id not writable to CSV: {device_id!r}")
-    if est is not None:
-        est = np.fromiter(map(_EST_CODES.get, est, repeat(-1)), np.intp, len(est))
-        if (est < 0).any():
-            bad = trace.est_labels[int(np.argmax(est < 0))]
-            raise ConfigError(f"est_channel label not writable to CSV: {bad!r}")
+    if est is not None and not EST_LABELS.issuperset(est):
+        bad = next(e for e in est if e not in EST_LABELS)
+        raise ConfigError(f"est_channel label not writable to CSV: {bad!r}")
     # Each block of rows is a uint8 matrix, one NUL-padded run of columns per
     # cell; dropping the NULs leaves the rows' bytes.
     names = np.array(packets.device_ids, "S")
     rssi = packets.rssi_dbm
-    width = 21 + names.itemsize + _CHANNEL_TEXT.itemsize + 18 + _EST_BYTES.itemsize + 5
+    width = 21 + names.itemsize + _CHANNEL_TEXT.itemsize + 18 + len("pre-start") + 5
     step = max(1, min(_WRITE_BLOCK, (_WRITE_BLOCK << 7) // width))
     body = []
     for i in range(0, len(packets), step):
@@ -248,7 +243,7 @@ def trace_to_text(trace: TraceFile) -> str:
                 blank = np.array([r is None for r in rssi[rows]])
             cols.append(_reading_cells(x, blank))
         if est is not None:
-            cols += [comma, _byte_rows(_EST_BYTES.take(est[rows]))]
+            cols += [comma, _byte_rows(np.array(est[rows], "S"))]
         cols.append(np.full((len(recv), 1), _NEWLINE, np.uint8))
         block = np.hstack(cols)
         body.append(block[block != 0].tobytes())
@@ -262,12 +257,14 @@ def write_text(path: str, text: str) -> None:
 
 
 def read_text(path: str, error: type[ValueError]) -> str:
-    """An input file's text; ``error`` (one line) if it is not UTF-8."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
+    """An input file's text; ``error`` (one line) if it cannot be read or is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
             return f.read()
-        except UnicodeDecodeError as exc:
-            raise error(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
@@ -913,9 +910,9 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
         scan_window_ns=parts.scan.scan_window.ns,
         behavior_tag=parts.behavior.tag,
         seed=seed,
-        # From a list: tuple(generator) shrinks a ten-slot tuple, which then piles up on
-        # a free list that only a full gc empties (also for simkit's per-replica tuples).
-        restarts_ns=tuple([r.ns for r in app_anchor_times(restarts, clock)]),
+        # The app reads its own clock when it restarts the scan, so its restart
+        # stamps carry no delivery latency, unlike packet timestamps.
+        restarts_ns=tuple(clock.to_app_ns(np.array(parts.restarts_ns, np.int64)).tolist()),
         packets=packets,
     )
 
@@ -924,7 +921,7 @@ def classification_samples(trace: TraceFile, dconf: DetectorConfig) -> Samples:
     """Every packet's elapsed time and outcome; see :class:`Samples`."""
     packets = Packets.of(trace.packets)
     classified = classify_trace(packets, trace.restarts, dconf)
-    anchor_ns = np.array([r.ns for r in classified.restarts], np.int64)[classified.anchor]
+    anchor_ns = classified.restart_ns[classified.anchor]
     return Samples(
         (packets.recv_ns - anchor_ns) / NS_PER_S, classified.outcomes(packets.channel)
     )

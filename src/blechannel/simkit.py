@@ -666,16 +666,6 @@ class Packets(ColumnView):
         )
 
 
-def app_anchor_times(restarts: list[TimeInstant], clock: ClockModel) -> list[TimeInstant]:
-    """Restart instants as the app records them.
-
-    The app reads its own clock when it issues the restart, so no delivery
-    latency applies here, unlike packet timestamps.
-    """
-    app = clock.to_app_ns(np.array([r.ns for r in restarts], np.int64))
-    return [TimeInstant(ns, APP_CLOCK) for ns in app.tolist()]
-
-
 def simulate_reception(
     events,
     windows,

@@ -1,14 +1,23 @@
+import contextlib
+import io
 import math
+import os
+import tempfile
 import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blechannel import cli
 from blechannel.harness import (
     EST_LABELS,
     AccuracyCurve,
+    ExperimentConfig,
     read_trace,
+    simulate_scenario,
+    trace_to_text,
     write_samples_csv,
 )
 from blechannel.ranging import CalibrationModel, RangingSample
@@ -246,6 +255,32 @@ def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command, flag, cod
     assert not out.exists()
 
 
+def test_unreadable_config_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    for cfg in (tmp_path / "missing.cfg", tmp_path):
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {cfg}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_scan_interval_below_two_ns_is_a_config_error(tmp_path, capsys):
+    # slot 2**64 - 1 of a 1 ns interval is channel 37 but wraps to -1 in int64
+    trace = tmp_path / "tiny.csv"
+    trace.write_text(
+        "# blechannel-trace v1\n"
+        "# ts_ns=1 ds_ns=1 behavior=compliant seed=1\n"
+        "# restarts_ns=-9223372036854775808\n"
+        "recv_time_ns,device_id,true_channel,rssi_dbm\n"
+        "9223372036854775807,d,37,-40\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.csv"
+    assert run(["classify", "--in", str(trace), "--out", str(out), "--guard", "0"]) == 2
+    assert capsys.readouterr().err == "error: scan interval must be at least 2 ns\n"
+    assert not out.exists()
+
+
 def test_missing_required_arguments_exit_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["simulate"])  # --out is required
@@ -447,3 +482,40 @@ def test_a_channel_missing_by_chance_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: channel-aware calibration needs samples on all channels, missing [38]\n"
     )
+
+
+@pytest.fixture(scope="module")
+def clean_trace():
+    cfg = ExperimentConfig(duration_s=30.0)
+    return trace_to_text(simulate_scenario(cfg, seed=3, with_rssi=True)).encode("ascii")
+
+
+EDIT = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    # most of a trace is rows, so aim a share of the edits at its header
+    st.one_of(st.integers(0, 200), st.integers(0, 10**5)),
+    st.sampled_from([bytes([b]) for b in b"\xff\n,#_-=. 0123456789e"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(EDIT, min_size=1, max_size=4))
+def test_an_edited_trace_classifies_or_gives_one_error_line(clean_trace, edits):
+    data = bytearray(clean_trace)
+    for op, at, byte in edits:
+        at %= len(data) + 1
+        if op == "insert":
+            data[at:at] = byte
+        elif at < len(data):
+            data[at : at + 1] = byte if op == "replace" else b""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, out = os.path.join(tmp, "trace.csv"), os.path.join(tmp, "out.csv")
+        with open(trace, "wb") as f:
+            f.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["classify", "--in", trace, "--out", out])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)

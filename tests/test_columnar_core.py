@@ -271,13 +271,13 @@ def test_overlapping_windows_are_a_config_error():
 
 
 def division_oracle(t, starts, interval, guard):
-    """(kind, slot, rem) by enumerating the slot with Python ints."""
+    """(kind, slot, rem, anchor) by enumerating the slot with Python ints."""
     i = bisect_right(starts, t) - 1
     if i < 0:
-        return PRE_START, 0, 0
+        return PRE_START, 0, 0, 0
     slot, rem = divmod(t - starts[i], interval)
     inside = guard <= 2 * rem <= 2 * interval - guard
-    return (CHANNEL if inside else GUARD), slot, rem
+    return (CHANNEL if inside else GUARD), slot, rem, i
 
 
 @st.composite
@@ -301,10 +301,10 @@ def interval_and_guard(draw):
 )
 def test_kernel_matches_the_division_oracle(recv, restarts, timing):
     interval, guard = timing
-    kind, slot, rem = classify_ns(recv, restarts, interval, guard)
+    columns = classify_ns(recv, restarts, interval, guard)
     starts = sorted(restarts)
     expected = [division_oracle(t, starts, interval, guard) for t in recv]
-    assert list(zip(kind.tolist(), slot.tolist(), rem.tolist())) == expected
+    assert list(zip(*(c.tolist() for c in columns))) == expected
 
 
 @settings(max_examples=100, deadline=None)

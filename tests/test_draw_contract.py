@@ -2,15 +2,18 @@
 
 ``_event_starts`` and ``_gauss_draws`` read a ``random.Random`` as a stream
 of 32-bit Mersenne Twister words instead of calling ``randrange`` or
-``random`` once per value.  ``RapidToggle.windows`` and the channel walk of
-the random-hop scanners call ``getrandbits`` themselves where ``randrange``
-and ``choice`` would.  Both only give the same numbers if the interpreter
-draws those values in the way checked here.  Standard library only, so it
-runs on any interpreter without numpy:
+``gauss`` once per value, and ``_gauss_draws`` reads and sets the second
+value that ``gauss`` keeps pending in ``gauss_next``.
+``RapidToggle.windows`` and the channel walk of the random-hop scanners
+call ``getrandbits`` themselves where ``randrange`` and ``choice`` would.
+Both only give the same numbers if the interpreter draws those values in
+the way checked here.  Standard library only, so it runs on any
+interpreter without numpy:
 
     python tests/test_draw_contract.py
 """
 
+import math
 import random
 
 SEEDS = (0, 1, 7, 2**40 + 3, "scan:11")
@@ -119,6 +122,31 @@ def test_random_takes_two_words():
             want.append((hi * 2**26 + lo) / 2**53)
         assert [a.random() for _ in range(50)] == want
         assert a.getstate() == b.getstate()
+
+
+def box_muller(rng):
+    """One ``gauss`` pair by hand: the cosine is returned, the sine kept."""
+    x2pi = rng.random() * random.TWOPI
+    g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+    return math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad
+
+
+def test_gauss_returns_box_muller_pairs_and_keeps_the_sine_pending():
+    for seed in SEEDS:
+        a, b = clones(seed)
+        want = [z for _ in range(20) for z in box_muller(b)]
+        assert [a.gauss(0.0, 1.0) for _ in range(40)] == want
+        assert a.getstate() == b.getstate()
+        cos, sin = box_muller(b)
+        assert a.gauss(0.0, 1.0) == cos and a.gauss_next == sin
+        # a pending value, carried over in the state or set by hand, comes first
+        c = random.Random()
+        c.setstate(a.getstate())
+        assert [c.gauss(0.0, 1.0) for _ in range(3)] == [sin, *box_muller(b)]
+        words = a.getstate()[1]
+        a.gauss_next = 0.25
+        assert a.gauss(0.0, 1.0) == 0.25 and a.gauss_next is None
+        assert a.getstate()[1] == words
 
 
 if __name__ == "__main__":

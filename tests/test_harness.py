@@ -358,9 +358,16 @@ def test_simulate_scenario_is_deterministic_per_seed():
 
 
 def test_simulate_scenario_restart_schedule_and_rssi():
-    cfg = dataclasses.replace(SHORT, duration_s=150.0, restart_every_s=60.0)
+    drift = 1e-3
+    cfg = dataclasses.replace(
+        SHORT, duration_s=150.0, restart_every_s=60.0, drift_rate=drift,
+        jitter_min_s=0.05, jitter_max_s=0.05,
+    )
     trace = simulate_scenario(cfg, seed=2, with_rssi=True)
-    assert tuple(r.ns for r in trace.restarts) == (0, 60_000_000_000, 120_000_000_000)
+    # the app reads its own clock for a restart; only its packets are delivered late
+    schedule = (0, 60_000_000_000, 120_000_000_000)
+    assert trace.restarts_ns == tuple(round(r / (1 + drift)) for r in schedule)
+    assert trace.packets.recv_ns.min() >= 50_000_000
     assert all(p.rssi_dbm is not None for p in trace.packets)
     dry = simulate_scenario(cfg, seed=2)
     assert all(p.rssi_dbm is None for p in dry.packets)

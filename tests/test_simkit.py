@@ -34,7 +34,6 @@ from blechannel.simkit import (
     NonStandardOrder,
     RapidToggle,
     RssiModel,
-    app_anchor_times,
     attach_rssi,
     behavior_from_tag,
     gen_advertising,
@@ -509,10 +508,6 @@ def test_reception_applies_drift_and_per_epoch_latency():
     packets = simulate_reception(events, windows, restarts, clock, LossModel(), substream(2, "rx"))
     assert packets[0].recv.ns == round(5_000_000_000 / 1.001) + 50_000_000
     assert packets[1].recv.ns == round(15_000_000_000 / 1.001) + 50_000_000
-    anchors = app_anchor_times(restarts, clock)
-    # the app's own restart stamps carry no delivery latency
-    assert anchors[0].ns == 0
-    assert anchors[1].ns == round(10_000_000_000 / 1.001)
 
 
 def test_reception_total_loss_drops_everything():
