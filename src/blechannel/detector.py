@@ -14,13 +14,13 @@ however long the scan has been running.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Channel, ColumnView, Duration, ScanSettings, TimeInstant
 from .errors import ClockMismatchError, ConfigError
+from .simkit import Packets
 
 DEFAULT_GUARD = Duration.from_seconds(0.2)
 # Android silently downgrades scans that run longer than 30 minutes, so a
@@ -59,9 +59,8 @@ class Classification:
     @property
     def label(self) -> str:
         """Stable text form: the channel id, "guard" or "pre-start"."""
-        if self.kind is ClassKind.CHANNEL:
-            return str(self.channel.id)
-        return self.kind.value
+        code = KINDS.index(self.kind)
+        return _LABELS[self.channel.id - 37 if code == CHANNEL else 2 + code]
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,6 +89,20 @@ class DetectorConfig:
 # Kind codes of the columnar kernel, indexing KINDS.
 CHANNEL, GUARD, PRE_START = range(3)
 KINDS = (ClassKind.CHANNEL, ClassKind.GUARD, ClassKind.PRE_START)
+_LABELS = ("37", "38", "39", "guard", "pre-start")
+
+
+@dataclass(frozen=True, eq=False)
+class Labels(ColumnView):
+    """Label codes as texts: _LABELS[slot % 3] on a channel, else _LABELS[2 + kind]."""
+
+    code: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def _item(self, i: int) -> str:
+        return _LABELS[self.code[i]]
 
 
 def _slot_rule(delta, interval, guard):
@@ -233,9 +246,6 @@ class ClassifiedPacket:
     anchor: TimeInstant
 
 
-_LABELS = np.array(["37", "38", "39", "guard", "pre-start"], dtype=object)
-
-
 @dataclass(frozen=True, eq=False)
 class ClassifiedPackets(ColumnView):
     """:func:`classify_trace`'s kernel columns; items are :class:`ClassifiedPacket`.
@@ -243,7 +253,7 @@ class ClassifiedPackets(ColumnView):
     ``anchor`` indexes ``restart_ns``, the sorted restarts on ``clock``.
     """
 
-    packets: Sequence
+    packets: Packets
     restart_ns: np.ndarray
     clock: str
     interval_ns: int
@@ -261,9 +271,9 @@ class ClassifiedPackets(ColumnView):
         result = _classification(kind, slot, rem, anchor, self.interval_ns)
         return ClassifiedPacket(self.packets[i], result, anchor)
 
-    def labels(self) -> tuple[str, ...]:
-        """Each packet's :attr:`Classification.label`."""
-        return tuple(_LABELS[np.where(self.kind == CHANNEL, self.slot % 3, self.kind + 2)])
+    def labels(self) -> Labels:
+        """Each packet's :attr:`Classification.label`, kept as label codes."""
+        return Labels(np.where(self.kind == CHANNEL, self.slot % 3, self.kind + 2))
 
     def outcomes(self, true_channel: np.ndarray) -> np.ndarray:
         """1 where the channel matches ``true_channel`` (ids, 0 unknown), 0
@@ -278,17 +288,15 @@ def classify_trace(packets, restarts, config: DetectorConfig) -> ClassifiedPacke
     ``restarts`` are the scan-start instants the app recorded, on the same
     clock as the packet timestamps.  Each packet is classified against the
     latest restart at or before it; packets older than every restart come
-    back as pre-start.  ``packets`` is a column view with ``recv_ns`` and
-    ``clock``, or any records with a ``recv`` instant, in any order.
+    back as pre-start.  ``packets`` is a :class:`Packets` view or any
+    packet records, in any order; no packets means no clock to mix.
     """
     restarts = tuple(restarts)
-    recv = getattr(packets, "recv_ns", None)
-    clocks = {packets.clock} if recv is not None else {p.recv.clock for p in packets}
+    packets = Packets.of(packets)
+    clocks = {packets.clock} if len(packets) else set()
     if len(clocks | {r.clock for r in restarts}) > 1:
         raise ClockMismatchError("packets and restarts must share one clock")
-    if recv is None:
-        recv = np.array([p.recv.ns for p in packets], dtype=np.int64)
     starts = np.sort(np.array([r.ns for r in restarts], dtype=np.int64))
     interval = config.scan_settings.scan_interval.ns
-    kind, slot, rem, anchor = classify_ns(recv, starts, interval, config.guard.ns)
+    kind, slot, rem, anchor = classify_ns(packets.recv_ns, starts, interval, config.guard.ns)
     return ClassifiedPackets(packets, starts, restarts[0].clock, interval, kind, slot, rem, anchor)

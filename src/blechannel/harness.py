@@ -36,7 +36,7 @@ from .core import (
     TimeInstant,
     preset_settings,
 )
-from .detector import _LABELS, DetectorConfig, classify_trace
+from .detector import _LABELS, DetectorConfig, Labels, classify_trace
 from .errors import ConfigError, NoDataError, TraceOrderError, TraceParseError
 from .ranging import EstimatorComparison, RangingSample, compare_estimators
 from .simkit import (
@@ -75,7 +75,8 @@ _DEVICE_ID = re.compile(r"[A-Za-z0-9._:-]+")
 
 @dataclass(frozen=True, slots=True)
 class TraceFile:
-    """A capture, simulated or read from a trace CSV: what the detector needs."""
+    """A capture, simulated or read from a trace CSV: what the detector needs;
+    ``est_labels`` is a :class:`Labels` view once read or classified."""
 
     scan_interval_ns: int
     scan_window_ns: int
@@ -83,7 +84,7 @@ class TraceFile:
     seed: int
     restarts_ns: tuple[int, ...] = (0,)
     packets: Sequence[PacketRecord] = ()
-    est_labels: tuple[str, ...] | None = None
+    est_labels: Sequence[str] | None = None
 
     @property
     def scan_settings(self) -> ScanSettings:
@@ -116,10 +117,12 @@ _DIGIT_GROUPS = np.frombuffer(
 _FAST_SCALED = 2.0**52
 _COMMA, _NEWLINE, _MINUS, _POINT = b",\n-."
 # The channel id of each true_channel cell the reader takes as is, and the
-# same cells by id, ids ascending, for the writer.
+# same cells by id, ids ascending, for the writer; the same for label codes.
 _CHANNEL_CELLS = {"": 0, **{str(c): c for c in CHANNEL_FREQ_HZ}}
 _CHANNEL_IDS = np.array(sorted(_CHANNEL_CELLS.values()), np.int64)
 _CHANNEL_TEXT = np.array(sorted(_CHANNEL_CELLS, key=_CHANNEL_CELLS.get), "S")
+_LABEL_CODES = {text: code for code, text in enumerate(_LABELS)}
+_LABEL_TEXT = np.array(_LABELS, "S")
 
 
 def _byte_rows(strings: np.ndarray) -> np.ndarray:
@@ -217,14 +220,16 @@ def trace_to_text(trace: TraceFile) -> str:
     for device_id in packets.device_ids:
         if not _DEVICE_ID.fullmatch(device_id):
             raise ConfigError(f"device id not writable to CSV: {device_id!r}")
-    if est is not None and not EST_LABELS.issuperset(est):
-        bad = next(e for e in est if e not in EST_LABELS)
-        raise ConfigError(f"est_channel label not writable to CSV: {bad!r}")
+    if est is not None and not isinstance(est, Labels):
+        code = list(map(_LABEL_CODES.get, est))
+        if None in code:
+            raise ConfigError(f"est_channel label not writable to CSV: {est[code.index(None)]!r}")
+        est = Labels(np.array(code, np.intp))
     # Each block of rows is a uint8 matrix, one NUL-padded run of columns per
     # cell; dropping the NULs leaves the rows' bytes.
     names = np.array(packets.device_ids, "S")
     rssi = packets.rssi_dbm
-    width = 21 + names.itemsize + _CHANNEL_TEXT.itemsize + 18 + len("pre-start") + 5
+    width = 21 + names.itemsize + _CHANNEL_TEXT.itemsize + 18 + _LABEL_TEXT.itemsize + 5
     step = max(1, min(_WRITE_BLOCK, (_WRITE_BLOCK << 7) // width))
     body = []
     for i in range(0, len(packets), step):
@@ -243,7 +248,7 @@ def trace_to_text(trace: TraceFile) -> str:
                 blank = np.array([r is None for r in rssi[rows]])
             cols.append(_reading_cells(x, blank))
         if est is not None:
-            cols += [comma, _byte_rows(np.array(est[rows], "S"))]
+            cols += [comma, _byte_rows(_LABEL_TEXT.take(est.code[rows]))]
         cols.append(np.full((len(recv), 1), _NEWLINE, np.uint8))
         block = np.hstack(cols)
         body.append(block[block != 0].tobytes())
@@ -362,10 +367,10 @@ def _trace_block(block: list[str], lineno: int, has_est: bool, device_ids: dict,
                     rssi.append(float(r) if r else None)
                 except ValueError as exc:
                     raise TraceParseError(f"bad rssi_dbm {r!r}", line=lineno) from exc
-    est = cells[4::n_fields] if has_est else []
-    if not EST_LABELS.issuperset(est):
-        bad = next(e for e in est if e not in EST_LABELS)
-        raise TraceParseError(f"bad est_channel {bad!r}", line=lineno)
+    est_cells = cells[4::n_fields] if has_est else []
+    est = list(map(_LABEL_CODES.get, est_cells))
+    if None in est:
+        raise TraceParseError(f"bad est_channel {est_cells[est.index(None)]!r}", line=lineno)
     return recv, device, channel, rssi, est
 
 
@@ -457,7 +462,7 @@ def trace_from_text(text: str) -> TraceFile:
         seed=seed,
         restarts_ns=restarts,
         packets=packets,
-        est_labels=tuple(chain.from_iterable(est)) if has_est else None,
+        est_labels=Labels(np.array(list(chain.from_iterable(est)), np.intp)) if has_est else None,
     )
 
 
@@ -540,17 +545,14 @@ class AccuracyCurve:
         buckets = []
         for lineno, parts in _table_rows(text, CURVE_COLUMNS, "not an accuracy-curve CSV"):
             try:
-                buckets.append(
-                    AccuracyBucket(
-                        start_s=float(parts[0]),
-                        end_s=float(parts[1]),
-                        n_classified=int(parts[2]),
-                        n_correct=int(parts[3]),
-                        n_unclassified=int(parts[4]),
-                    )
-                )
+                b = AccuracyBucket(float(parts[0]), float(parts[1]), *map(int, parts[2:5]))
             except ValueError as exc:
                 raise TraceParseError(f"bad bucket row: {exc}", line=lineno) from exc
+            if not -math.inf < b.start_s < b.end_s < math.inf:
+                raise TraceParseError("need finite edges, start_s < end_s", line=lineno)
+            if min(b.counts) < 0 or b.n_correct > b.n_classified:
+                raise TraceParseError("need counts >= 0, n_correct <= n_classified", line=lineno)
+            buckets.append(b)
         return cls(buckets=tuple(buckets))
 
     @classmethod
@@ -919,12 +921,10 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
 
 def classification_samples(trace: TraceFile, dconf: DetectorConfig) -> Samples:
     """Every packet's elapsed time and outcome; see :class:`Samples`."""
-    packets = Packets.of(trace.packets)
-    classified = classify_trace(packets, trace.restarts, dconf)
-    anchor_ns = classified.restart_ns[classified.anchor]
-    return Samples(
-        (packets.recv_ns - anchor_ns) / NS_PER_S, classified.outcomes(packets.channel)
-    )
+    classified = classify_trace(trace.packets, trace.restarts, dconf)
+    packets = classified.packets
+    elapsed_ns = packets.recv_ns - classified.restart_ns[classified.anchor]
+    return Samples(elapsed_ns / NS_PER_S, classified.outcomes(packets.channel))
 
 
 def _replica_samples(cfg: ExperimentConfig, dconf: DetectorConfig):

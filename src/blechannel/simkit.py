@@ -469,6 +469,17 @@ def behavior_from_tag(
     return cls()
 
 
+def _schedule_ns(restarts) -> list[int]:
+    """The ns of the restarts that gen_scan_windows and simulate_reception
+    take: radio instants, at least one, strictly increasing."""
+    if any(r.clock != RADIO_CLOCK for r in restarts):
+        raise ClockMismatchError("scan restarts are radio instants")
+    ns = [r.ns for r in restarts]
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError("scan restarts must be non-empty and strictly increasing")
+    return ns
+
+
 def gen_scan_windows(
     behavior: ScannerBehavior,
     settings: ScanSettings,
@@ -482,16 +493,9 @@ def gen_scan_windows(
     must be strictly increasing and the first one must precede ``end``.
     All of them and ``end`` must be int64 ns, less than 2**63 ns apart.
     """
-    if not restarts:
-        raise ConfigError("need at least one scan start instant")
-    for r in restarts:
-        if r.clock != RADIO_CLOCK:
-            raise ClockMismatchError("scan restarts are radio instants")
+    ns = _schedule_ns(restarts)
     if end.clock != RADIO_CLOCK:
         raise ClockMismatchError("scan horizon is a radio instant")
-    ns = [r.ns for r in restarts]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError("scan restarts must be strictly increasing")
     if ns[0] >= end.ns:
         raise ConfigError("first scan start must precede the horizon")
     last = max(ns[-1], end.ns)
@@ -688,6 +692,7 @@ def simulate_reception(
     beacon when loss is on.  The result is sorted by app timestamp, ties
     in transmit order.
     """
+    restart_ns = np.array(_schedule_ns(restarts), np.int64)
     events = AdvertisingEvents.of(events)
     windows = ScanWindows.of(windows)
     order = np.argsort(windows.start_ns, kind="stable")
@@ -715,10 +720,9 @@ def simulate_reception(
     # A stable sort of the caught beacons orders them as a stable sort of
     # every beacon would, so the draws below see the same sequence.
     hit = np.argsort(t, kind="stable")
-    restart_ns = np.array([r.ns for r in restarts], np.int64)
     # One latency draw per epoch, before any loss draws, keeps the stream
     # layout stable when loss settings change.
-    jitters = np.array([clock.draw_jitter(rng).ns for _ in restarts], np.int64)
+    jitters = np.array([clock.draw_jitter(rng).ns for _ in restart_ns], np.int64)
     if loss.drop_prob > 0.0:
         hit = hit[~np.array([loss.drops(rng) for _ in hit], bool)]
     epoch = np.searchsorted(restart_ns, t[hit], side="right") - 1

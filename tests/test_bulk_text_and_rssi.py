@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from blechannel import harness, simkit
 from blechannel.core import CHANNEL_FREQ_HZ
+from blechannel.detector import _LABELS, Labels
 from blechannel.errors import ConfigError, TraceOrderError, TraceParseError
 from blechannel.harness import (
     _DEVICE_ID,
@@ -217,8 +218,9 @@ def outcome(parse, text):
         trace = parse(text)
     except (TraceParseError, TraceOrderError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    fields = dataclasses.asdict(dataclasses.replace(trace, packets=()))
-    return fields, columns_of(trace.packets)
+    fields = dataclasses.asdict(dataclasses.replace(trace, packets=(), est_labels=None))
+    labels = None if trace.est_labels is None else tuple(trace.est_labels)
+    return fields, labels, columns_of(trace.packets)
 
 
 TRACE_SCENARIOS = st.builds(
@@ -237,11 +239,20 @@ TRACE_SCENARIOS = st.builds(
 LABEL_CYCLES = st.one_of(st.none(), st.lists(st.sampled_from(sorted(EST_LABELS)), min_size=1))
 
 
-def with_labels(trace, labels):
+def label_view(texts):
+    """The texts as the label-code view that ``classify`` writes."""
+    return Labels(np.array([_LABELS.index(t) for t in texts], np.intp))
+
+
+# est_labels as a caller's tuple of texts, or as a label-code view
+LABEL_FORMS = st.sampled_from([tuple, label_view])
+
+
+def with_labels(trace, labels, form=tuple):
     if labels is None:
         return trace
     n = len(trace.packets)
-    return dataclasses.replace(trace, est_labels=tuple((labels * n)[:n]))
+    return dataclasses.replace(trace, est_labels=form((labels * n)[:n]))
 
 
 @st.composite
@@ -249,7 +260,7 @@ def simulated_traces(draw):
     trace = simulate_scenario(
         draw(TRACE_SCENARIOS), draw(st.integers(0, 2**32)), with_rssi=draw(st.booleans())
     )
-    return with_labels(trace, draw(LABEL_CYCLES))
+    return with_labels(trace, draw(LABEL_CYCLES), draw(LABEL_FORMS))
 
 
 READINGS = st.one_of(
@@ -285,7 +296,7 @@ def hand_built_traces(draw):
     )
     restarts = draw(st.sampled_from([(0,), (-5, 0, 10**12)]))
     trace = TraceFile(4_096_000_000, 1_024_000_000, "compliant", 3, restarts, packets)
-    return with_labels(trace, draw(LABEL_CYCLES))
+    return with_labels(trace, draw(LABEL_CYCLES), draw(LABEL_FORMS))
 
 
 BLOCKS = st.sampled_from([1, 2, 3, 5, harness._TEXT_BLOCK])
@@ -343,7 +354,8 @@ def edge_traces(draw):
         window_index=np.full(n, -1, np.int64),
         rssi_dbm=column(EDGE_READINGS) if draw(st.booleans()) else None,
     )
-    labels = tuple(column(st.sampled_from(sorted(EST_LABELS)))) if draw(st.booleans()) else None
+    form = draw(LABEL_FORMS)
+    labels = form(column(st.sampled_from(sorted(EST_LABELS)))) if draw(st.booleans()) else None
     return block, TraceFile(4_096_000_000, 1_024_000_000, "compliant", 3, (0,), packets, labels)
 
 

@@ -34,6 +34,7 @@ from blechannel.simkit import (
     ClockModel,
     LossModel,
     PacketRecord,
+    Packets,
     ScanWindow,
     behavior_from_tag,
     gen_advertising,
@@ -320,13 +321,14 @@ def test_classify_trace_items_match_classify_time(recv, restarts, guard_ms):
     config = DetectorConfig(scan_settings=scan, guard=Duration(guard_ms * 1_000_000 + 1))
     packets = [PacketRecord(TimeInstant(ns, APP_CLOCK), "d", None) for ns in recv]
     anchors = [TimeInstant(ns, APP_CLOCK) for ns in restarts]
-    classified = classify_trace(packets, anchors, config)
-    assert len(classified) == len(packets)
-    for cp, p in zip(classified, packets):
-        assert cp.packet == p
-        assert cp.result == classify_time(p.recv, cp.anchor, config)
-    assert classified.labels() == tuple(cp.result.label for cp in classified)
-    assert [KINDS[k] for k in classified.kind] == [cp.result.kind for cp in classified]
+    for given_packets in (packets, Packets.of(packets)):
+        classified = classify_trace(given_packets, anchors, config)
+        assert len(classified) == len(packets)
+        for cp, p in zip(classified, packets):
+            assert cp.packet == p
+            assert cp.result == classify_time(p.recv, cp.anchor, config)
+        assert classified.labels() == tuple(cp.result.label for cp in classified)
+        assert [KINDS[k] for k in classified.kind] == [cp.result.kind for cp in classified]
 
 
 def test_kernel_needs_a_restart():

@@ -96,10 +96,17 @@ def test_classify_rejects_mixed_clocks():
     with pytest.raises(ClockMismatchError):
         classify_time(radio_instant(1.0), ANCHOR, CONFIG)
     radio = PacketRecord(recv=radio_instant(1.0), device_id="d", channel=None)
+    app = PacketRecord(recv=app_instant(2.0), device_id="d", channel=None)
+    for packets, restarts in [
+        ([radio], [ANCHOR]),
+        (Packets.of([radio]), [ANCHOR]),
+        ([app, radio], [ANCHOR]),
+        ([app], [ANCHOR, radio_instant(3.0)]),
+    ]:
+        with pytest.raises(ClockMismatchError):
+            classify_trace(packets, restarts, CONFIG)
     with pytest.raises(ClockMismatchError):
-        classify_trace([radio], [ANCHOR], CONFIG)
-    with pytest.raises(ClockMismatchError):
-        Packets.of([radio, PacketRecord(recv=app_instant(2.0), device_id="d", channel=None)])
+        Packets.of([radio, app])
 
 
 def test_slot_borders_reconstruct_scan_windows():
@@ -177,7 +184,8 @@ def packet(seconds):
 
 def test_classify_trace_uses_latest_restart():
     restarts = [app_instant(0.0), app_instant(100.0)]
-    out = classify_trace([packet(50.0), packet(101.0)], restarts, CONFIG)
+    # the restarts are read once, so a generator of them works too
+    out = classify_trace([packet(50.0), packet(101.0)], iter(restarts), CONFIG)
     assert out[0].anchor == restarts[0]
     assert out[0].result.slot_index == int(50.0 // 4.096)
     assert out[1].anchor == restarts[1]
@@ -200,3 +208,11 @@ def test_classify_trace_accepts_unsorted_packets():
 def test_classify_trace_needs_a_restart():
     with pytest.raises(ConfigError):
         classify_trace([packet(1.0)], [], CONFIG)
+
+
+def test_classify_trace_of_no_packets_takes_any_clock():
+    # Packets.of([]) is on the app clock; an empty capture has no clock to mix
+    for packets in ([], Packets.of([])):
+        for restarts in ([radio_instant(0.0)], [ANCHOR]):
+            classified = classify_trace(packets, restarts, CONFIG)
+            assert len(classified) == 0 and classified.labels() == ()

@@ -296,6 +296,26 @@ def test_curve_csv_round_trip(tmp_path):
         AccuracyCurve.from_csv_text(text.splitlines()[0] + "\n1,2,3\n")
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,30,-5,7,-1,", "counts"),
+        ("0,30,5,7,1,", "counts"),
+        ("nan,inf,1,1,0,", "edges"),
+        ("0,inf,1,1,0,", "edges"),
+        ("30,30,1,1,0,", "edges"),
+        ("30,0,1,1,0,", "edges"),
+    ],
+)
+def test_curve_csv_refuses_impossible_rows(row, message):
+    good = build_accuracy_curve([(1.0, True), (12.0, False)], 10.0, 20.0)
+    lines = good.to_csv_text().splitlines()
+    assert AccuracyCurve.from_csv_text("\n".join(lines)) == good
+    with pytest.raises(TraceParseError, match=message) as exc:
+        AccuracyCurve.from_csv_text("\n".join(lines + [row]))
+    assert exc.value.line == len(lines) + 1
+
+
 def test_config_from_text_parses_sections_and_comments():
     cfg = ExperimentConfig.from_text(
         """

@@ -510,6 +510,30 @@ def test_reception_applies_drift_and_per_epoch_latency():
     assert packets[1].recv.ns == round(15_000_000_000 / 1.001) + 50_000_000
 
 
+def test_reception_checks_the_schedule_as_gen_scan_windows_does():
+    settings = AdvSettings(Duration.from_seconds(0.1))
+    events = gen_advertising(settings, "d", radio_instant(0), radio_instant(60), substream(1, "a"))
+    schedule = [radio_instant(0), radio_instant(30)]
+    end = radio_instant(60)
+    windows = gen_scan_windows(Compliant(), LOW_LATENCY, schedule, end, substream(1, "w"))
+
+    def receive(restarts):
+        return simulate_reception(
+            events, windows, restarts, ClockModel(), LossModel(), substream(1, "rx")
+        )
+
+    assert len(receive(schedule)) > 0
+    for bad, error in [
+        ([app_instant(0), app_instant(30)], ClockMismatchError),
+        (schedule[::-1], ConfigError),
+        ([], ConfigError),
+    ]:
+        with pytest.raises(error):
+            receive(bad)
+        with pytest.raises(error):
+            gen_scan_windows(Compliant(), LOW_LATENCY, bad, end, substream(1, "w"))
+
+
 def test_reception_total_loss_drops_everything():
     settings = AdvSettings(Duration.from_seconds(0.1))
     events = gen_advertising(settings, "d", radio_instant(0), radio_instant(8), substream(1, "a"))
