@@ -98,6 +98,10 @@ class Labels(ColumnView):
 
     code: np.ndarray
 
+    def __post_init__(self):
+        if np.any((self.code < 0) | (self.code >= len(_LABELS))):
+            raise ConfigError(f"label codes must lie in [0, {len(_LABELS)})")
+
     def __len__(self) -> int:
         return len(self.code)
 

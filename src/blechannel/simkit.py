@@ -278,20 +278,17 @@ def _random_walk(rng: random.Random):
         ch = _OTHERS[ch][r]
 
 
-def _cadence(start_ns, end_ns, interval_ns, window_ns, channels) -> ScanWindows:
-    """Windows every ``interval_ns`` from ``start_ns``, cut off at ``end_ns``.
-
-    ``channels`` is the channel id the compliant cycle 37 -> 38 -> 39 -> 37
-    starts from, or an iterator of ids advanced only when a window opens, so
-    random channel sources draw exactly once per window.
-    """
-    n = max(-(-(end_ns - start_ns) // interval_ns), 0)
-    starts = start_ns + interval_ns * np.arange(n, dtype=np.int64)
-    width = min(window_ns, end_ns - start_ns)
-    ends = np.minimum(starts, end_ns - width) + width  # min(starts + width, end) without int64 wrap
-    if isinstance(channels, int):
-        return ScanWindows(starts, ends, (np.arange(n, dtype=np.int64) + channels - 37) % 3 + 37)
-    return ScanWindows(starts, ends, np.fromiter(islice(channels, n), np.int64, n))
+def _cadence(bounds, interval_ns, window_ns) -> tuple[ScanWindows, np.ndarray]:
+    """Windows every ``interval_ns`` from each ``(start_ns, end_ns)`` of ``bounds``,
+    cut off at its end, on the compliant cycle 37 -> 38 -> 39 -> 37 restarted at
+    each start; with the index in ``bounds`` of each window's epoch."""
+    start, end = np.array(bounds, np.int64).reshape(-1, 2).T
+    n = np.maximum(-(-(end - start) // interval_ns), 0)
+    epoch = np.repeat(np.arange(len(n)), n)
+    k = np.arange(len(epoch)) - np.repeat(np.cumsum(n) - n, n)  # the place in its epoch
+    starts, width = start[epoch] + interval_ns * k, np.minimum(window_ns, end - start)[epoch]
+    ends = np.minimum(starts, end[epoch] - width) + width  # min(starts + width, end), no wrap
+    return ScanWindows(starts, ends, k % 3 + 37), epoch
 
 
 class Compliant(ScannerBehavior):
@@ -302,7 +299,7 @@ class Compliant(ScannerBehavior):
     def windows(self, settings, epochs, rng):
         own = self.effective_settings(settings)
         interval, window = own.scan_interval.ns, own.scan_window.ns
-        return ScanWindows.of([_cadence(s.ns, e.ns, interval, window, 37) for s, e in epochs])
+        return _cadence([(s.ns, e.ns) for s, e in epochs], interval, window)[0]
 
 
 class BalancedOffset(ScannerBehavior):
@@ -317,21 +314,22 @@ class BalancedOffset(ScannerBehavior):
     tag = "balanced-offset"
 
     def __init__(self, offset_factor: float = 2.0):
-        if offset_factor < 0:
-            raise ConfigError("offset_factor must be non-negative")
+        if not 0 <= offset_factor < math.inf:
+            raise ConfigError("offset_factor must be finite and non-negative")
         self.offset_factor = offset_factor
 
     def windows(self, settings, epochs, rng):
-        interval = settings.scan_interval.ns
-        window = settings.scan_window.ns
-        random_channels = iter(lambda: rng.choice(ADVERTISING_CHANNELS), None)
-        parts = []
+        interval, window = settings.scan_interval.ns, settings.scan_window.ns
+        span = round(self.offset_factor * interval)
+        parts, drawn = [], []
         for start, end in epochs:
-            span = round(self.offset_factor * interval)
             settle_ns = min(start.ns + rng.randrange(span + 1), end.ns)
-            parts.append(_cadence(start.ns, settle_ns, interval, window, random_channels))
-            parts.append(_cadence(settle_ns, end.ns, interval, window, 37))
-        return ScanWindows.of(parts)
+            n = -(-(settle_ns - start.ns) // interval)  # the windows before settling
+            drawn += [rng.choice(ADVERTISING_CHANNELS) for _ in range(n)]
+            parts += [(start.ns, settle_ns), (settle_ns, end.ns)]
+        made, part = _cadence(parts, interval, window)
+        made.channel[part % 2 == 0] = drawn
+        return made
 
 
 class AltInterval(Compliant):
@@ -420,8 +418,9 @@ class NonStandardOrder(ScannerBehavior):
 
     def windows(self, settings, epochs, rng):
         interval = settings.scan_interval.ns
-        walk = _random_walk(rng)
-        return ScanWindows.of([_cadence(s.ns, e.ns, interval, interval, walk) for s, e in epochs])
+        made = _cadence([(s.ns, e.ns) for s, e in epochs], interval, interval)[0]
+        made.channel[:] = np.fromiter(islice(_random_walk(rng), len(made)), np.int64, len(made))
+        return made
 
 
 class ContinueChannel(ScannerBehavior):
@@ -435,17 +434,12 @@ class ContinueChannel(ScannerBehavior):
     tag = "continue-channel"
 
     def windows(self, settings, epochs, rng):
-        interval = settings.scan_interval.ns
-        window = settings.scan_window.ns
-        parts, ch = [], 37
-        for start, end in epochs:
-            made = _cadence(start.ns, end.ns, interval, window, ch)
-            parts.append(made)
-            if len(made):
-                last, last_end = int(made.channel[-1]), int(made.end_ns[-1])
-                cut_short = last_end == end.ns and last_end - int(made.start_ns[-1]) < window
-                ch = last if cut_short else last % 3 + 37  # the next in the cycle
-        return ScanWindows.of(parts)
+        interval, window = settings.scan_interval.ns, settings.scan_window.ns
+        made = _cadence([(s.ns, e.ns) for s, e in epochs], interval, window)[0]
+        # only an epoch's last window can be short, and its channel comes again next
+        short = made.end_ns - made.start_ns < window
+        made.channel[:] = (np.arange(len(made)) - np.cumsum(short) + short) % 3 + 37
+        return made
 
 
 BEHAVIOR_TAGS = {
@@ -529,6 +523,8 @@ class ClockModel:
         lo, hi = self.jitter_range
         if not 0.0 <= lo <= hi:
             raise ConfigError("need 0 <= jitter lower bound <= upper bound")
+        if not hi < 2**53 / 1e9:  # draw_jitter counts whole ns
+            raise ConfigError("upper bound must stay below 2**53 ns")
 
     def to_app_ns(self, radio_ns):
         """App-clock reading of radio instants (an int or an int64 array).

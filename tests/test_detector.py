@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from blechannel.core import Duration, ScanSettings, app_instant, preset_settings, radio_instant
@@ -5,6 +6,7 @@ from blechannel.detector import (
     ClassKind,
     DetectorConfig,
     DetectorSession,
+    Labels,
     SessionMode,
     classify_time,
     classify_trace,
@@ -216,3 +218,10 @@ def test_classify_trace_of_no_packets_takes_any_clock():
         for restarts in ([radio_instant(0.0)], [ANCHOR]):
             classified = classify_trace(packets, restarts, CONFIG)
             assert len(classified) == 0 and classified.labels() == ()
+
+
+@pytest.mark.parametrize("code", [7, -1])
+def test_labels_refuse_codes_outside_the_label_table(code):
+    assert list(Labels(np.array([0, 4], np.intp))) == ["37", "pre-start"]
+    with pytest.raises(ConfigError):
+        Labels(np.array([0, code], np.intp))

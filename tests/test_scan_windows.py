@@ -8,6 +8,7 @@ seed and settings, a behavior's ``ScanWindows`` must hold the same
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -31,12 +32,15 @@ from blechannel.simkit import (
     AltInterval,
     BalancedOffset,
     ClockModel,
+    Compliant,
+    ContinueChannel,
     LossModel,
     RapidToggle,
     ScanWindow,
     ScanWindows,
     behavior_from_tag,
     gen_advertising,
+    gen_scan_windows,
     simulate_reception,
     substream,
 )
@@ -179,9 +183,14 @@ def scanners(draw, tag):
 
 @st.composite
 def epoch_lists(draw, max_ns):
-    """Up to 7 epochs over up to ``max_ns``, empty ones included."""
-    edges = sorted(draw(st.lists(st.integers(0, max_ns), max_size=8)))
-    return epochs_ns(*zip(edges, edges[1:]))
+    """Up to 40 epochs over up to ``max_ns``, empty and short ones included.
+
+    Some draws cut the epochs at a horizon as gen_scan_windows does: an epoch
+    that starts past it ends there, before its start.
+    """
+    edges = sorted(draw(st.lists(st.integers(0, max_ns), max_size=41)))
+    horizon = draw(st.one_of(st.just(max_ns), st.integers(0, max_ns)))
+    return epochs_ns(*[(a, min(b, horizon)) for a, b in zip(edges, edges[1:])])
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,6 +207,25 @@ def test_window_columns_equal_the_object_layout(data, tag, seed):
     assert list(zip(got.start_ns.tolist(), got.end_ns.tolist(), got.channel.tolist())) == rows(want)
     assert got == want
     assert rng.getstate() == ref_rng.getstate()
+
+
+def test_a_hundred_thousand_restarts_take_one_pass():
+    """Restarts every 6 ms over 600 s; each epoch holds a full window and a short one."""
+    scan = ScanSettings(Duration(4_000_000), Duration(2_500_000))
+    restarts = [TimeInstant(ns, RADIO_CLOCK) for ns in range(0, 600 * 10**9, 6_000_000)]
+    end = TimeInstant(600 * 10**9, RADIO_CLOCK)
+    epochs = list(zip(restarts, restarts[1:] + [end]))
+    assert len(epochs) == 100_000
+    for behavior in (Compliant(), ContinueChannel()):
+        got = gen_scan_windows(behavior, scan, restarts, end, substream(1, "scan"))
+        want = rows(REFERENCES[behavior.tag](behavior, scan, epochs, substream(1, "scan")))
+        assert list(zip(got.start_ns.tolist(), got.end_ns.tolist(), got.channel.tolist())) == want
+    elapsed = []
+    for _ in range(3):
+        started = time.perf_counter()
+        gen_scan_windows(Compliant(), scan, restarts, end, substream(1, "scan"))
+        elapsed.append(time.perf_counter() - started)
+    assert min(elapsed) < 1.0
 
 
 @settings(max_examples=30, deadline=None)

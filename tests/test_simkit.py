@@ -296,6 +296,12 @@ def test_balanced_offset_settles_into_compliant_pattern():
         assert w.start.ns % interval == 0
 
 
+@pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
+def test_balanced_offset_refuses_an_unusable_factor(factor):
+    with pytest.raises(ConfigError):
+        BalancedOffset(factor)
+
+
 def test_alt_interval_reports_and_uses_its_own_timing():
     behavior = AltInterval(scan_interval=Duration.from_seconds(5.0))
     eff = behavior.effective_settings(LOW_LATENCY)
@@ -439,6 +445,9 @@ def test_clock_model_validation_and_conversion():
         ClockModel(jitter_range=(0.2, 0.1))
     with pytest.raises(ConfigError):
         ClockModel(jitter_range=(-0.1, 0.1))
+    for hi in (math.inf, 1e300):  # no whole ns count below 2**53 for draw_jitter
+        with pytest.raises(ConfigError):
+            ClockModel(jitter_range=(0.0, hi))
     clock = ClockModel(drift_rate=2e-4)
     # 200 ppm fast radio: 600 radio seconds are about 599.88 app seconds
     assert clock.to_app_ns(600_000_000_000) == round(600_000_000_000 / 1.0002)
