@@ -18,7 +18,7 @@ import math
 import re
 from collections.abc import Sequence
 from contextlib import contextmanager
-from itertools import chain, product, repeat
+from itertools import chain, product
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -98,10 +98,11 @@ class TraceFile:
         return tuple([TimeInstant(ns, APP_CLOCK) for ns in self.restarts_ns])
 
 
-# Rows that trace_from_text converts at a time.  Small blocks keep the cells
-# in flight from raising the peak memory of a parse; from 256 rows up the
-# per-block cost no longer shows.
-_TEXT_BLOCK = 1 << 8
+# Rows that trace_from_text converts at a time.  A block costs a few numpy
+# passes per column whatever its length, which only long blocks amortise
+# (at 256 rows the byte reader was slower than int() and float() a cell);
+# 4096 rows are about 150 kB of text and keep a block's temporaries near 1 MB.
+_TEXT_BLOCK = 1 << 12
 # Rows that trace_to_text formats at a time.  A block's byte matrix is held
 # to about _WRITE_BLOCK * 128 bytes, so very long device ids shorten blocks.
 _WRITE_BLOCK = 1 << 14
@@ -115,14 +116,18 @@ _DIGIT_GROUPS = np.frombuffer(
 )
 # Readings scaled by 1e6 below this are exact integers plus a fraction.
 _FAST_SCALED = 2.0**52
-_COMMA, _NEWLINE, _MINUS, _POINT = b",\n-."
-# The channel id of each true_channel cell the reader takes as is, and the
-# same cells by id, ids ascending, for the writer; the same for label codes.
-_CHANNEL_CELLS = {"": 0, **{str(c): c for c in CHANNEL_FREQ_HZ}}
-_CHANNEL_IDS = np.array(sorted(_CHANNEL_CELLS.values()), np.int64)
-_CHANNEL_TEXT = np.array(sorted(_CHANNEL_CELLS, key=_CHANNEL_CELLS.get), "S")
+_COMMA, _NEWLINE, _MINUS, _POINT, _ZERO = b",\n-.0"
+# The true_channel cell that the writer writes for each channel id, and
+# that the reader reads as it is, ids ascending (0, no channel, is blank);
+# the same for est_channel labels by label code.
+_CHANNEL_IDS = np.array([0, *sorted(CHANNEL_FREQ_HZ)], np.int64)
+_CHANNEL_TEXT = np.array([str(c) if c else "" for c in _CHANNEL_IDS.tolist()], "S")
 _LABEL_CODES = {text: code for code, text in enumerate(_LABELS)}
 _LABEL_TEXT = np.array(_LABELS, "S")
+# NUL bytes around the text of a block being read: as many as the widest gather.
+_PAD = 24
+# A uint64 whose k lowest bytes are set, for k = 0 .. 8.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 
 
 def _byte_rows(strings: np.ndarray) -> np.ndarray:
@@ -130,14 +135,18 @@ def _byte_rows(strings: np.ndarray) -> np.ndarray:
     return strings.view(np.uint8).reshape(len(strings), strings.itemsize)
 
 
-def _digits(mag: np.ndarray, strip: bool, groups: int = 0) -> np.ndarray:
-    """(n, 4 * groups) ASCII digits of uint64 ``mag`` below 10**(4 * groups),
-    right-aligned; with ``strip`` every leading zero but the units digit is
-    NUL.  ``groups`` defaults to as few as the largest ``mag`` needs."""
-    if not groups:
-        top = int(mag.max(initial=0))
-        groups = next(g for g in range(1, 6) if top < 10 ** (4 * g))
-    out = np.empty((groups, len(mag)), np.uint32)
+def _groups(mag: np.ndarray) -> int:
+    """The four-digit groups that the largest uint64 of ``mag`` needs, at least one."""
+    top = int(mag.max(initial=0))
+    return next(g for g in range(1, 6) if top < 10 ** (4 * g))
+
+
+def _digits(mag: np.ndarray, strip: bool, out: np.ndarray) -> None:
+    """Write the ASCII digits of uint64 ``mag``, each below 10**(4 * groups),
+    right-aligned into the (n, 4 * groups) uint8 matrix ``out``; with
+    ``strip`` every leading zero but the units digit is NUL."""
+    groups = out.shape[1] // 4
+    cells = out.view(np.uint32)
     rest = mag
     for j in range(groups - 1, -1, -1):
         above = rest // 10**4
@@ -146,21 +155,32 @@ def _digits(mag: np.ndarray, strip: bool, groups: int = 0) -> np.ndarray:
             index += (above == 0) * 10**4
             if j < groups - 1:
                 index[rest == 0] = 2 * 10**4
-        out[j] = _DIGIT_GROUPS[index]
+        cells[:, j] = _DIGIT_GROUPS[index]
         rest = above
-    return np.ascontiguousarray(out.T).view(np.uint8)
 
 
-def _int_cells(a: np.ndarray) -> np.ndarray:
-    """``str(v)`` of each int64 ``v``, as NUL-padded bytes: sign, then digits."""
+# A column of a block being written: its width in bytes, and a function that
+# writes its NUL-padded cells into an (n, width) uint8 matrix.
+def _int_cells(a: np.ndarray):
+    """``str(v)`` of each int64 ``v``: sign, then digits."""
     neg = a < 0
     mag = a.astype(np.uint64)  # modulo 2**64, so negating gives |v|, -2**63 included
     mag = np.where(neg, -mag, mag)
-    return np.hstack([np.where(neg, _MINUS, 0).astype(np.uint8)[:, None], _digits(mag, True)])
+
+    def write(out):
+        out[:, 0] = np.where(neg, _MINUS, 0)
+        _digits(mag, True, out[:, 1:])
+
+    return 1 + 4 * _groups(mag), write
 
 
-def _reading_cells(x: np.ndarray, blank: np.ndarray) -> np.ndarray:
-    """``format(v, ".6f")`` of each float64 ``v`` as NUL-padded bytes; NUL where ``blank``.
+def _table_cells(table: np.ndarray, codes: np.ndarray):
+    """The cell ``table[code]`` of each code."""
+    return table.itemsize, lambda out: np.copyto(out, _byte_rows(table.take(codes)))
+
+
+def _reading_cells(x: np.ndarray, blank: np.ndarray):
+    """``format(v, ".6f")`` of each float64 ``v``; nothing where ``blank``.
 
     A cell is formatted here only where the result is certain: ``v`` finite,
     ``y = |v| * 1e6`` below 2**52 and more than ``y * 2**-52`` away from a
@@ -176,21 +196,20 @@ def _reading_cells(x: np.ndarray, blank: np.ndarray) -> np.ndarray:
     fast = small & ~blank & (y < _FAST_SCALED) & (np.abs(y - np.floor(y) - 0.5) > y * 2.0**-52)
     slow = ~(fast | blank)
     whole, frac = np.divmod(q, 10**6)
-    n = len(x)
-    cells = np.hstack([
-        np.where(np.signbit(x), _MINUS, 0).astype(np.uint8)[:, None],
-        _digits(whole, True),
-        np.full((n, 1), _POINT, np.uint8),
-        _digits(frac, False, 2)[:, 2:],
-    ])
-    cells[~fast] = 0
-    if slow.any():
-        texts = _byte_rows(np.array([format(v, ".6f") for v in x[slow].tolist()], "S"))
-        extra = texts.shape[1] - cells.shape[1]
-        if extra > 0:
-            cells = np.hstack([cells, np.zeros((n, extra), np.uint8)])
-        cells[slow, : texts.shape[1]] = texts
-    return cells
+    texts = _byte_rows(np.array([format(v, ".6f") for v in x[slow].tolist()], "S"))
+    point = 1 + 4 * _groups(whole)
+
+    def write(out):
+        out[:, 0] = np.where(np.signbit(x), _MINUS, 0)
+        # eight fraction digits: the two leading zeros land on the units digit
+        # and the point, which are written after them
+        _digits(frac, False, out[:, point - 1 : point + 7])
+        _digits(whole, True, out[:, 1:point])
+        out[:, point] = _POINT
+        out[~fast] = 0
+        out[slow, : texts.shape[1]] = texts
+
+    return max(point + 7, texts.shape[1]), write
 
 
 def trace_to_text(trace: TraceFile) -> str:
@@ -225,8 +244,8 @@ def trace_to_text(trace: TraceFile) -> str:
         if None in code:
             raise ConfigError(f"est_channel label not writable to CSV: {est[code.index(None)]!r}")
         est = Labels(np.array(code, np.intp))
-    # Each block of rows is a uint8 matrix, one NUL-padded run of columns per
-    # cell; dropping the NULs leaves the rows' bytes.
+    # Each block of rows is one uint8 matrix: each cell a NUL-padded run of
+    # columns and a separator after it.  Dropping the NULs leaves the rows' bytes.
     names = np.array(packets.device_ids, "S")
     rssi = packets.rssi_dbm
     width = 21 + names.itemsize + _CHANNEL_TEXT.itemsize + 18 + _LABEL_TEXT.itemsize + 5
@@ -234,24 +253,29 @@ def trace_to_text(trace: TraceFile) -> str:
     body = []
     for i in range(0, len(packets), step):
         rows = slice(i, i + step)
-        recv = packets.recv_ns[rows]
-        comma = np.full((len(recv), 1), _COMMA, np.uint8)
         cols = [
-            _int_cells(recv), comma,
-            _byte_rows(names.take(packets.device[rows])), comma,
-            _byte_rows(_CHANNEL_TEXT.take(channel_code[rows])), comma,
+            _int_cells(packets.recv_ns[rows]),
+            _table_cells(names, packets.device[rows]),
+            _table_cells(_CHANNEL_TEXT, channel_code[rows]),
+            (0, None),
         ]
         if rssi is not None:
             x = np.array(rssi[rows], np.float64)  # a None reads as nan
             blank = np.isnan(x)
             if blank.any():
                 blank = np.array([r is None for r in rssi[rows]])
-            cols.append(_reading_cells(x, blank))
+            cols[-1] = _reading_cells(x, blank)
         if est is not None:
-            cols += [comma, _byte_rows(_LABEL_TEXT.take(est.code[rows]))]
-        cols.append(np.full((len(recv), 1), _NEWLINE, np.uint8))
-        block = np.hstack(cols)
-        body.append(block[block != 0].tobytes())
+            cols.append(_table_cells(_LABEL_TEXT, est.code[rows]))
+        block = np.zeros((min(step, len(packets) - i), sum(w + 1 for w, _ in cols)), np.uint8)
+        at = 0
+        for w, write in cols:
+            if w:
+                write(block[:, at : at + w])
+            block[:, at + w] = _COMMA
+            at += w + 1
+        block[:, -1] = _NEWLINE
+        body.append(block.tobytes().translate(None, b"\0"))
     return "\n".join(lines) + "\n" + b"".join(body).decode("ascii")
 
 
@@ -319,58 +343,171 @@ def _channel_cell(cell: str) -> int | None:
     return ch if not cell or ch in CHANNEL_FREQ_HZ else None
 
 
+def _windows(buf: bytes, at: np.ndarray, w: int) -> np.ndarray:
+    """The ``w`` bytes of ``buf`` from each offset ``at`` on, as an (n, w)
+    uint8 matrix: one gather of overlapping ``V{w}`` items."""
+    items = np.ndarray((len(buf) - w + 1,), f"V{w}", buf, 0, (1,))
+    return items[at].view(np.uint8).reshape(len(at), w)
+
+
+def _inside(width: np.ndarray, w: int) -> np.ndarray:
+    """(n, w) bools, True in the last ``width`` columns of each row: the
+    window at offset ``width`` of w False then w True."""
+    return _windows(bytes(w) + b"\1" * w, np.minimum(width, w), w).view(bool)
+
+
+def _keys(b: bytes, first: np.ndarray, width: np.ndarray, words: int) -> np.ndarray:
+    """The first ``8 * words`` bytes of each cell, NUL after its end, as an
+    (n, words) array of little-endian uint64 keys."""
+    keys = _windows(b, first, 8 * words).view("<u8")
+    return keys & _LOW_BYTES[np.clip(width[:, None] - 8 * np.arange(words), 0, 8)]
+
+
+def _decimal_cells(b: bytes, first: np.ndarray, width: np.ndarray, point: bool):
+    """(value, certain) of each cell.  Certain cells are, with ``point``,
+    ``-?[0-9]{1,11}\\.[0-9]{6}`` whose digits make ``q < 2**53``, read as the
+    float ``±q / 1e6``: ``q`` and 1e6 are exact, so the quotient is the
+    correctly rounded decimal, as ``float`` gives it.  Without ``point``,
+    ``-?[0-9]{1,18}`` as int64.  Every other value is junk."""
+    neg = np.frombuffer(b, np.uint8)[first] == _MINUS
+    first, width = first + neg, width - neg
+    certain = (width > (7 if point else 0)) & (width <= 18)
+    if not certain.any():
+        return np.zeros(len(first), np.float64 if point else np.int64), certain
+    w = 8 * -(-min(int(width.max()), 18) // 8)  # whole uint64 words
+    inside = _inside(width, w)
+    cells = _windows(b, first + width - w, w)  # right-aligned
+    digits = cells - np.uint8(_ZERO)
+    bad = (digits > 9) & inside
+    digits *= inside
+    if point:
+        bad[:, w - 7] = cells[:, w - 7] != _POINT
+        digits[:, w - 7] = 0
+    certain &= sum(bad.view(np.uint64).T) == 0  # no byte of any word set
+    # Eight digits to a little-endian word, the first in its lowest byte:
+    # neighbours add up into 2-, 4-, then 8-digit numbers, none carrying.
+    words = digits.view("<u8")
+    for bits, lanes in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        scale = np.uint64(10 ** (bits // 8))
+        words = (words * scale + (words >> np.uint64(bits))) & np.uint64(lanes)
+    q = words[:, 0].astype(np.int64)
+    for k in range(1, w // 8):
+        q = q * 10**8 + words[:, k].astype(np.int64)
+    if point:  # drop the 0 written over the point
+        q = q // 10**7 * 10**6 + q % 10**6
+        certain &= q < 2**53
+        q = q / 1e6
+    return np.where(neg, -q, q), certain
+
+
+def _table_codes(b: bytes, first: np.ndarray, width: np.ndarray, table: np.ndarray):
+    """The index of each cell in ``table`` (an ``S`` array whose items differ
+    in their first 8 bytes), -1 for a cell not in it."""
+    words = -(-table.itemsize // 8)
+    entries = np.zeros((len(table), 8 * words), np.uint8)
+    entries[:, : table.itemsize] = _byte_rows(table)
+    entries = entries.view("<u8")
+    cells = _keys(b, first, width, words)
+    order = np.argsort(entries[:, 0])
+    code = order[np.searchsorted(entries[:, 0], cells[:, 0], sorter=order).clip(max=len(table) - 1)]
+    # a NUL at a cell's end would vanish from its key, so the widths must match too
+    hit = width == np.char.str_len(table)[code]
+    for k in range(words):
+        hit &= cells[:, k] == entries[code, k]
+    return np.where(hit, code, -1)
+
+
 def _trace_block(block: list[str], lineno: int, has_est: bool, device_ids: dict, prev):
     """The columns of ``block``, stripped non-blank trace rows from file line
     ``lineno`` on, after a row at time ``prev`` (None at the first row).
 
-    New device ids go into ``device_ids``.  Each check runs once per column,
-    in the field order of a row, so a one-row block raises exactly that
-    row's error; in a longer block an error only says that some row is bad.
+    The block is read from its UTF-8 bytes.  A cell whose value is certain
+    from them (a plain integer time, a reading with six decimals, a channel
+    or label cell as the writer writes it, a short device id) is converted
+    a column at a time with numpy; every other cell goes through ``int``,
+    ``float`` or ``_channel_cell`` on its own, so whatever they accept
+    still reads.  New device ids go into ``device_ids``.  Each check runs
+    once per column, in the field order of a row, so a one-row block raises
+    exactly that row's error; in a longer block an error only says that
+    some row is bad.
     """
     n_fields = 5 if has_est else 4
-    if set(map(str.count, block, repeat(","))) != {n_fields - 1}:
+    # NUL padding keeps every gather inside the buffer; a row's cells
+    # start after the newline that ends the padding or the row before
+    pad = "\0" * _PAD
+    b = "\n".join([pad, *block, pad]).encode("utf-8", "surrogatepass")
+    u8 = np.frombuffer(b, np.uint8)
+    seps = np.flatnonzero((u8 == _COMMA) | (u8 == _NEWLINE))
+    if len(seps) != len(block) * n_fields + 1 or (u8[seps[n_fields::n_fields]] != _NEWLINE).any():
         raise TraceParseError(f"expected {n_fields} fields", line=lineno)
-    cells = ",".join(block).split(",")
-    try:
-        recv = np.array(list(map(int, cells[0::n_fields])), np.int64)
-    except ValueError as exc:
-        raise TraceParseError("recv_time_ns must be an integer", line=lineno) from exc
-    except OverflowError as exc:
-        raise TraceParseError("recv_time_ns out of the int64 range", line=lineno) from exc
+    # a row of starts and widths per column
+    firsts = (seps[:-1] + 1).reshape(-1, n_fields).T.copy()
+    widths = seps[1:].reshape(-1, n_fields).T - firsts
+
+    def cells(col, rows):
+        spans = zip(firsts[col, rows].tolist(), widths[col, rows].tolist())
+        return [b[a : a + w].decode("utf-8", "surrogatepass") for a, w in spans]
+
+    def uncertain(col, certain):
+        rows = np.flatnonzero(~certain)
+        return zip(rows.tolist(), cells(col, rows))
+
+    recv, certain = _decimal_cells(b, firsts[0], widths[0], point=False)
+    for i, cell in uncertain(0, certain):
+        try:
+            recv[i] = int(cell)
+        except ValueError as exc:
+            raise TraceParseError("recv_time_ns must be an integer", line=lineno) from exc
+        except OverflowError as exc:
+            raise TraceParseError("recv_time_ns out of the int64 range", line=lineno) from exc
     # compared, not differenced: the difference of two int64 times can wrap
     if (prev is not None and recv[0] < prev) or (recv[1:] < recv[:-1]).any():
         raise TraceOrderError(f"line {lineno}: timestamps moved backwards")
-    names = cells[1::n_fields]
-    for name in dict.fromkeys(names):
+
+    if widths[1].max() <= 8 and b.find(b"\0", _PAD, len(b) - _PAD) < 0:
+        keys, index = np.unique(_keys(b, firsts[1], widths[1], 1)[:, 0], return_inverse=True)
+        seen = np.full(len(keys), len(block))
+        np.minimum.at(seen, index, np.arange(len(block)))  # the first row of each key
+        by_first = np.argsort(seen)
+        names = cells(1, seen[by_first])
+        index = np.argsort(by_first)[index]
+    else:  # long ids, or NULs, which a key would not tell from its padding
+        names = cells(1, slice(None))
+        rank = {name: k for k, name in enumerate(dict.fromkeys(names))}
+        index = np.fromiter(map(rank.__getitem__, names), np.intp, len(names))
+        names = list(rank)
+    for name in names:
         if name not in device_ids:
             if not _DEVICE_ID.fullmatch(name):
                 raise TraceParseError(f"bad device id {name!r}", line=lineno)
             device_ids[name] = len(device_ids)
-    device = np.fromiter(map(device_ids.__getitem__, names), np.intp, len(names))
-    channel_cells = cells[2::n_fields]
-    channel = list(map(_CHANNEL_CELLS.get, channel_cells))
-    if None in channel:  # cells such as "037", "+37" or " 39", or a bad one
-        channel = list(map(_channel_cell, channel_cells))
-        if None in channel:
-            bad = channel_cells[channel.index(None)]
-            raise TraceParseError(f"bad true_channel {bad!r}", line=lineno)
-    readings = cells[3::n_fields]
-    if readings.count("") == len(readings):
-        rssi = [None] * len(readings)
+    device = np.array(list(map(device_ids.__getitem__, names)), np.intp)[index]
+
+    code = _table_codes(b, firsts[2], widths[2], _CHANNEL_TEXT)
+    channel = _CHANNEL_IDS[code]
+    for i, cell in uncertain(2, code >= 0):  # cells such as "037", "+37" or " 39", or a bad one
+        ch = _channel_cell(cell)
+        if ch is None:
+            raise TraceParseError(f"bad true_channel {cell!r}", line=lineno)
+        channel[i] = ch
+
+    if not widths[3].any():
+        rssi = [None] * len(block)
     else:
-        try:
-            rssi = list(map(float, readings))
-        except ValueError:  # blank cells among the readings, or a bad one
-            rssi = []
-            for r in readings:
-                try:
-                    rssi.append(float(r) if r else None)
-                except ValueError as exc:
-                    raise TraceParseError(f"bad rssi_dbm {r!r}", line=lineno) from exc
-    est_cells = cells[4::n_fields] if has_est else []
-    est = list(map(_LABEL_CODES.get, est_cells))
-    if None in est:
-        raise TraceParseError(f"bad est_channel {est_cells[est.index(None)]!r}", line=lineno)
+        value, certain = _decimal_cells(b, firsts[3], widths[3], point=True)
+        rssi = value.tolist()
+        for i, cell in uncertain(3, certain):
+            try:
+                rssi[i] = float(cell) if cell else None
+            except ValueError as exc:
+                raise TraceParseError(f"bad rssi_dbm {cell!r}", line=lineno) from exc
+
+    est = np.zeros(0, np.intp)
+    if has_est:
+        est = _table_codes(b, firsts[4], widths[4], _LABEL_TEXT)
+        missed = cells(4, np.flatnonzero(est < 0)[:1])
+        if missed:
+            raise TraceParseError(f"bad est_channel {missed[0]!r}", line=lineno)
     return recv, device, channel, rssi, est
 
 
@@ -427,22 +564,30 @@ def trace_from_text(text: str) -> TraceFile:
     (scan_interval_ns, scan_window_ns, behavior, seed), restarts, has_est, i = _trace_header(lines)
     # Padding stripped and blank lines dropped once, each row keeping its
     # 1-based file line; then _TEXT_BLOCK rows at a time.  A block that fails
-    # is read again one row at a time, so the error names the first bad line.
+    # is halved until one row raises, so the error names the first bad line.
     body = lines[i + 1 :]
     rows = list(filter(None, map(str.strip, body)))
     linenos = range(i + 2, len(lines) + 1)
     if len(rows) < len(body):
         linenos = [n for n, line in zip(linenos, body) if line.strip()]
-    blocks = [(np.zeros(0, np.int64), np.zeros(0, np.intp), [], [], [])]
+    empty = np.zeros(0, np.intp)
+    blocks = [(np.zeros(0, np.int64), empty, np.zeros(0, np.int64), [], empty)]
     device_ids: dict[str, int] = {}
     prev = None
     for start in range(0, len(rows), _TEXT_BLOCK):
-        block = rows[start : start + _TEXT_BLOCK]
+        stop = min(start + _TEXT_BLOCK, len(rows))
         try:
-            blocks.append(_trace_block(block, linenos[start], has_est, device_ids, prev))
+            blocks.append(_trace_block(rows[start:stop], linenos[start], has_est, device_ids, prev))
         except (TraceParseError, TraceOrderError):
-            for k in range(start, start + len(block)):  # the first bad row raises
-                prev = _trace_block(rows[k : k + 1], linenos[k], has_est, device_ids, prev)[0][0]
+            # rows[start:stop] fail after prev, so one of their halves does
+            while stop - start > 1:
+                mid = (start + stop) // 2
+                try:
+                    half = _trace_block(rows[start:mid], linenos[start], has_est, device_ids, prev)
+                    start, prev = mid, half[0][-1]
+                except (TraceParseError, TraceOrderError):
+                    stop = mid
+            _trace_block(rows[start:stop], linenos[start], has_est, device_ids, prev)
             raise
         prev = blocks[-1][0][-1]
     recv, device, channel, rssi, est = zip(*blocks)
@@ -451,7 +596,7 @@ def trace_from_text(text: str) -> TraceFile:
         recv_ns=recv,
         device=np.concatenate(device),
         device_ids=tuple(device_ids),
-        channel=np.array(list(chain.from_iterable(channel)), np.int64),
+        channel=np.concatenate(channel),
         window_index=np.full(len(recv), -1, np.int64),
         rssi_dbm=list(chain.from_iterable(rssi)),
     )
@@ -462,7 +607,7 @@ def trace_from_text(text: str) -> TraceFile:
         seed=seed,
         restarts_ns=restarts,
         packets=packets,
-        est_labels=Labels(np.array(list(chain.from_iterable(est)), np.intp)) if has_est else None,
+        est_labels=Labels(np.concatenate(est)) if has_est else None,
     )
 
 

@@ -15,6 +15,8 @@ import dataclasses
 import math
 import random
 import string
+import timeit
+import tracemalloc
 from dataclasses import replace
 from itertools import chain
 from unittest import mock
@@ -299,7 +301,7 @@ def hand_built_traces(draw):
     return with_labels(trace, draw(LABEL_CYCLES), draw(LABEL_FORMS))
 
 
-BLOCKS = st.sampled_from([1, 2, 3, 5, harness._TEXT_BLOCK])
+BLOCKS = st.sampled_from([1, 2, 3, 5, harness._TEXT_BLOCK, harness._TEXT_BLOCK + 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,14 +382,25 @@ def test_writer_refuses_labels_the_reader_refuses(label):
 
 
 # Cells that each column of a trace row may be replaced with: valid cells
-# written another way, and invalid ones.
+# written another way, and invalid ones.  Some sit just outside what the
+# reader converts from bytes, so int or float must read or refuse them:
+# NULs, "-0", 19 digits, readings without six decimals or with q >= 2**53,
+# non-ASCII digits, ids longer than a uint64 key or not ASCII, and ids
+# that differ from another only by a trailing NUL, which uint64 keys
+# would not tell apart.
 BAD_CELLS = [
     ["abc", "1.5", "", "+5", "1_000", "007", " 12", "9223372036854775807",
-     "9223372036854775808", "-9223372036854775808", "-9223372036854775809", "-1", "٣"],
-    ["a b", "", "dév", "a;b", "dev00", "dev01", "x"],
-    ["36", "x", "+37", "037", "37.0", "0", "", "38", " 39", "3_7"],
-    ["loud", "", "nan", "-inf", "1e400", " -40", "-4_0.5", "-40.000000", "0x10"],
-    ["40", "", "C37", "guard ", "37", "guard", "pre-start", "unknown"],
+     "9223372036854775808", "-9223372036854775808", "-9223372036854775809", "-1", "٣",
+     "-0", "1234567890123456789", "-", "12\0"],
+    ["a b", "", "dév", "a;b", "dev00", "dev01", "x", "dev\0", "dev:0123456789",
+     "dev.01234", "ключ", "\ud800", "d0\0", "d2\0"],
+    ["36", "x", "+37", "037", "37.0", "0", "", "38", " 39", "3_7", "37\0", "٣٧"],
+    ["loud", "", "nan", "-inf", "1e400", " -40", "-4_0.5", "-40.000000", "0x10",
+     "-0.000000", ".500000", "5.", "-40.0000001", "-40.00000", "9007199254.740993",
+     "9007199254.740992", "٣٧.٥", "-", "12345678901.000000", "000000000000.000001",
+     "12345678", "-40000000"],
+    ["40", "", "C37", "guard ", "37", "guard", "pre-start", "unknown", "guard\0",
+     "pre-start\0", "pre-stark"],
 ]
 
 
@@ -467,6 +480,64 @@ def cycling_packets(n, rssi=None):
     )
 
 
+@pytest.mark.parametrize(
+    "col, cell", [(col, cell) for col, cells in enumerate(BAD_CELLS) for cell in cells]
+)
+def test_each_bad_cell_reads_as_the_row_parser_reads_it(col, cell):
+    """In the first, the last and every row, in blocks of one row, three and a whole block."""
+    n = 7
+    packets = cycling_packets(n, [-50.5, None, -61.25, 0.0, -1e-7, -40.000001, 12.0])
+    labels = ("37", "guard", "38", "39", "pre-start", "37", "guard")
+    trace = TraceFile(4_096_000_000, 1_024_000_000, "compliant", 3, packets=packets,
+                      est_labels=labels)
+    lines = reference_trace_to_text(trace).splitlines()
+    head, body = lines[:3], lines[3:]
+    for rows in (range(1), range(n - 1, n), range(n)):
+        edited = [line.split(",") for line in body]
+        for i in rows:
+            edited[i][col] = cell
+        text = "\n".join(head + [",".join(parts) for parts in edited]) + "\n"
+        want = outcome(reference_trace_from_text, text)
+        for block in (1, 3, harness._TEXT_BLOCK):
+            with mock.patch.object(harness, "_TEXT_BLOCK", block):
+                assert outcome(trace_from_text, text) == want
+
+
+def test_a_bad_row_is_named_quickly():
+    """The failing block is halved until one row raises: a few block reads, not one per row."""
+    trace = simulate_scenario(ExperimentConfig(), 7, with_rssi=True)
+    lines = trace_to_text(trace).splitlines()
+    assert len(trace.packets) == 22_864
+    for row in (len(lines) - 1, 3 + harness._TEXT_BLOCK - 1):  # the last row, a first block's last
+        bad = list(lines)
+        bad[row] = "x" + bad[row][bad[row].index(",") :]
+        text = "\n".join(bad) + "\n"
+        assert outcome(trace_from_text, text) == (
+            TraceParseError, f"line {row + 1}: recv_time_ns must be an integer", row + 1
+        )
+        assert min(timeit.repeat(lambda: outcome(trace_from_text, text), number=1, repeat=3)) < 0.2
+
+
+def test_a_megabyte_device_id_is_read_in_little_memory():
+    """One 1 MiB id among short ones: the ids of such a block are told apart by a
+    dict, never in a fixed-width array of n copies of the widest."""
+    n = 300
+    packets = replace(
+        cycling_packets(n), device_ids=("d0", "d" * 2**20, "d2"), device=np.zeros(n, np.intp)
+    )
+    packets.device[n // 2] = 1
+    trace = TraceFile(4_096_000_000, 1_024_000_000, "compliant", 3, packets=packets)
+    text = trace_to_text(trace)
+    tracemalloc.start()
+    try:
+        trace_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # a handful of copies of the id; n copies would be 300 MiB
+    assert outcome(trace_from_text, text) == outcome(reference_trace_from_text, text)
+
+
 def test_errors_past_the_first_block_name_their_line():
     n = harness._TEXT_BLOCK + 10
     trace = TraceFile(4_096_000_000, 1_024_000_000, "compliant", 3,
@@ -511,7 +582,8 @@ def test_backwards_times_whose_difference_overflows():
 
 @pytest.mark.parametrize("with_rssi", [False, True])
 def test_written_traces_are_read_a_block_at_a_time(with_rssi):
-    trace = simulate_scenario(ExperimentConfig(duration_s=60.0), 4, with_rssi=with_rssi)
+    # long enough for two full blocks and a short one
+    trace = simulate_scenario(ExperimentConfig(duration_s=300.0), 4, with_rssi=with_rssi)
     for labelled in (trace, with_labels(trace, ["37", "guard", "38"])):
         lines = trace_to_text(labelled).splitlines()
         n, block = len(labelled.packets), harness._TEXT_BLOCK
