@@ -18,7 +18,7 @@ import math
 import re
 from collections.abc import Sequence
 from contextlib import contextmanager
-from itertools import chain, product
+from itertools import product
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -179,16 +179,17 @@ def _table_cells(table: np.ndarray, codes: np.ndarray):
     return table.itemsize, lambda out: np.copyto(out, _byte_rows(table.take(codes)))
 
 
-def _reading_cells(x: np.ndarray, blank: np.ndarray):
-    """``format(v, ".6f")`` of each float64 ``v``; nothing where ``blank``.
+def _reading_cells(x: np.ndarray):
+    """``format(v, ".6f")`` of each float64 ``v``; nothing where ``v`` is NaN.
 
     A cell is formatted here only where the result is certain: ``v`` finite,
     ``y = |v| * 1e6`` below 2**52 and more than ``y * 2**-52`` away from a
     tie, which is twice the rounding error of ``y``, so rounding ``y`` half
-    to even gives the digits of the exact product.  Every other cell (nan,
-    inf, huge values, ties such as 1/128 and their near neighbours) is
-    formatted by ``format`` itself.
+    to even gives the digits of the exact product.  Every other cell (inf,
+    huge values, ties such as 1/128 and their near neighbours) is formatted
+    by ``format`` itself.
     """
+    blank = np.isnan(x)
     ax = np.abs(x)
     small = ax < _FAST_SCALED / 1e6  # False for nan
     y = np.where(small, ax, 0.0) * 1e6
@@ -260,11 +261,7 @@ def trace_to_text(trace: TraceFile) -> str:
             (0, None),
         ]
         if rssi is not None:
-            x = np.array(rssi[rows], np.float64)  # a None reads as nan
-            blank = np.isnan(x)
-            if blank.any():
-                blank = np.array([r is None for r in rssi[rows]])
-            cols[-1] = _reading_cells(x, blank)
+            cols[-1] = _reading_cells(rssi[rows])
         if est is not None:
             cols.append(_table_cells(_LABEL_TEXT, est.code[rows]))
         block = np.zeros((min(step, len(packets) - i), sum(w + 1 for w, _ in cols)), np.uint8)
@@ -491,16 +488,14 @@ def _trace_block(block: list[str], lineno: int, has_est: bool, device_ids: dict,
             raise TraceParseError(f"bad true_channel {cell!r}", line=lineno)
         channel[i] = ch
 
-    if not widths[3].any():
-        rssi = [None] * len(block)
-    else:
-        value, certain = _decimal_cells(b, firsts[3], widths[3], point=True)
-        rssi = value.tolist()
-        for i, cell in uncertain(3, certain):
-            try:
-                rssi[i] = float(cell) if cell else None
-            except ValueError as exc:
-                raise TraceParseError(f"bad rssi_dbm {cell!r}", line=lineno) from exc
+    rssi, certain = _decimal_cells(b, firsts[3], widths[3], point=True)
+    blank = widths[3] == 0
+    rssi[blank] = np.nan
+    for i, cell in uncertain(3, certain | blank):
+        try:
+            rssi[i] = float(cell)
+        except ValueError as exc:
+            raise TraceParseError(f"bad rssi_dbm {cell!r}", line=lineno) from exc
 
     est = np.zeros(0, np.intp)
     if has_est:
@@ -571,7 +566,7 @@ def trace_from_text(text: str) -> TraceFile:
     if len(rows) < len(body):
         linenos = [n for n, line in zip(linenos, body) if line.strip()]
     empty = np.zeros(0, np.intp)
-    blocks = [(np.zeros(0, np.int64), empty, np.zeros(0, np.int64), [], empty)]
+    blocks = [(np.zeros(0, np.int64), empty, np.zeros(0, np.int64), np.zeros(0), empty)]
     device_ids: dict[str, int] = {}
     prev = None
     for start in range(0, len(rows), _TEXT_BLOCK):
@@ -598,7 +593,7 @@ def trace_from_text(text: str) -> TraceFile:
         device_ids=tuple(device_ids),
         channel=np.concatenate(channel),
         window_index=np.full(len(recv), -1, np.int64),
-        rssi_dbm=list(chain.from_iterable(rssi)),
+        rssi_dbm=np.concatenate(rssi),
     )
     return TraceFile(
         scan_interval_ns=scan_interval_ns,
@@ -697,6 +692,16 @@ class AccuracyCurve:
                 raise TraceParseError("need finite edges, start_s < end_s", line=lineno)
             if min(b.counts) < 0 or b.n_correct > b.n_classified:
                 raise TraceParseError("need counts >= 0, n_correct <= n_classified", line=lineno)
+            # blank exactly when nothing was classified; else the ratio to six
+            # decimals, with 2**-50 for the float error of reading it back
+            if parts[5] or b.n_classified:
+                try:
+                    ok = abs(float(parts[5]) - b.n_correct / b.n_classified) <= 5e-7 + 2**-50
+                except (ValueError, ZeroDivisionError):
+                    ok = False
+                if not ok:
+                    message = "need accuracy = n_correct / n_classified, blank if n_classified = 0"
+                    raise TraceParseError(message, line=lineno)
             buckets.append(b)
         return cls(buckets=tuple(buckets))
 
@@ -988,7 +993,10 @@ def _parse_config_lines(text: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"line {lineno}: expected key = value")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 

@@ -153,30 +153,41 @@ class CalibrationModel:
         aware = fields.get("channel_aware", "true")
         if aware not in ("true", "false"):
             raise TraceParseError(f"channel_aware must be true or false, got {aware!r}")
-        try:
-            offsets = (
-                0.0,
-                float(fields.get("offset_38_db", "0")),
-                float(fields.get("offset_39_db", "0")),
-            )
-            off_se = None
-            if "offset_38_se" in fields and "offset_39_se" in fields:
-                off_se = (float(fields["offset_38_se"]), float(fields["offset_39_se"]))
-            return cls(
-                intercept_dbm=float(fields["intercept_dbm"]),
-                path_loss_exponent=float(fields["path_loss_exponent"]),
-                channel_offset_db=offsets,
-                channel_aware=aware == "true",
-                intercept_se=float(fields["intercept_se"]) if "intercept_se" in fields else None,
-                offset_se=off_se,
-                exponent_se=float(fields["exponent_se"]) if "exponent_se" in fields else None,
-                residual_sigma_db=(
-                    float(fields["residual_sigma_db"]) if "residual_sigma_db" in fields else None
-                ),
-                n_samples=int(fields.get("n_samples", "0")),
-            )
-        except (KeyError, ValueError) as exc:
-            raise TraceParseError(f"bad model file: {exc}") from exc
+        for key in ("offset_38_db", "offset_39_db", "n_samples"):
+            fields.setdefault(key, "0")
+
+        def number(key: str, sign: str = "", parse=float):
+            """``key``'s value, None if absent; refused unless finite and, if
+            ``sign`` says so, "positive" or "non-negative", as calibrate writes it."""
+            if key not in fields:
+                return None
+            try:
+                value = parse(fields[key])
+            except ValueError as exc:
+                raise TraceParseError(f"bad model file: {exc}") from exc
+            signed = {"": True, "positive": value > 0, "non-negative": value >= 0}[sign]
+            if not (-math.inf < value < math.inf and signed):  # a huge int n_samples is finite
+                need = "finite" + (f" and {sign}" if sign else "")
+                raise TraceParseError(f"{key} must be {need}, got {fields[key]!r}")
+            return value
+
+        for key in ("intercept_dbm", "path_loss_exponent"):
+            if key not in fields:
+                raise TraceParseError(f"bad model file: {key} missing")
+        off_se = None
+        if "offset_38_se" in fields and "offset_39_se" in fields:
+            off_se = tuple(number(f"offset_{c}_se", "non-negative") for c in (38, 39))
+        return cls(
+            intercept_dbm=number("intercept_dbm"),
+            path_loss_exponent=number("path_loss_exponent", "positive"),
+            channel_offset_db=(0.0, number("offset_38_db"), number("offset_39_db")),
+            channel_aware=aware == "true",
+            intercept_se=number("intercept_se", "non-negative"),
+            offset_se=off_se,
+            exponent_se=number("exponent_se", "non-negative"),
+            residual_sigma_db=number("residual_sigma_db", "non-negative"),
+            n_samples=number("n_samples", "non-negative", int),
+        )
 
 
 @np.errstate(all="ignore")  # a fit that overflows is refused at the end

@@ -623,7 +623,8 @@ class Packets(ColumnView):
 
     ``recv_ns`` holds timestamps on ``clock``, ``device`` indexes
     ``device_ids``, ``channel`` holds channel ids (0 when unknown) and
-    ``rssi_dbm`` is a list of readings, or None when none are attached.
+    ``rssi_dbm`` is a float64 column of readings, NaN where a packet has
+    none, or None when no readings are attached.
     """
 
     recv_ns: np.ndarray
@@ -631,18 +632,19 @@ class Packets(ColumnView):
     device_ids: tuple[str, ...]
     channel: np.ndarray
     window_index: np.ndarray
-    rssi_dbm: list | None = None
+    rssi_dbm: np.ndarray | None = None
     clock: str = APP_CLOCK
 
     def __len__(self) -> int:
         return len(self.recv_ns)
 
     def _item(self, i: int) -> PacketRecord:
+        rssi = None if self.rssi_dbm is None else float(self.rssi_dbm[i])
         return PacketRecord(
             recv=TimeInstant(int(self.recv_ns[i]), self.clock),
             device_id=self.device_ids[self.device[i]],
             channel=_CHANNEL_OF_ID[int(self.channel[i])],
-            rssi_dbm=None if self.rssi_dbm is None else self.rssi_dbm[i],
+            rssi_dbm=None if rssi is None or math.isnan(rssi) else rssi,
             window_index=int(self.window_index[i]),
         )
 
@@ -661,7 +663,7 @@ class Packets(ColumnView):
             device_ids=tuple(ids),
             channel=np.array([p.channel.id if p.channel else 0 for p in packets], np.int64),
             window_index=np.array([p.window_index for p in packets], np.int64),
-            rssi_dbm=[p.rssi_dbm for p in packets],
+            rssi_dbm=np.array([p.rssi_dbm for p in packets], np.float64),  # None reads as NaN
             clock=clocks.pop(),
         )
 
@@ -808,4 +810,4 @@ def attach_rssi(
     sigma = model.shadow_sigma_db
     if sigma > 0:  # the reader adds rng.gauss(0.0, sigma), which is 0.0 + z * sigma
         level += 0.0 + _gauss_draws(len(level), rng) * sigma
-    return replace(packets, rssi_dbm=level.tolist())
+    return replace(packets, rssi_dbm=level)

@@ -7,8 +7,9 @@ the row-at-a-time versions.  They are kept as the references, as
 ``reference_starts`` is in ``test_advertising_draws.py``.  The new versions
 must write the same bytes, read the same columns or raise the same error
 for the same line, and give the same readings and final generator state.
-Small block sizes are patched in so that block edges fall between every few
-rows.
+Readings are float64 columns in which NaN means no reading, in the
+references too.  Small block sizes are patched in so that block edges fall
+between every few rows.
 """
 
 import dataclasses
@@ -73,10 +74,11 @@ def reference_trace_to_text(trace):
     channel_text = np.array([str(c) if c else "" for c in codes.tolist()], object)
     rssi = packets.rssi_dbm
     row = "%d,%s,%s,"
-    if rssi is not None and None in rssi:
-        rssi = ["" if r is None else format(r, ".6f") for r in rssi]
+    if rssi is not None and np.isnan(rssi).any():
+        rssi = ["" if math.isnan(r) else format(r, ".6f") for r in rssi.tolist()]
         row += "%s"
     elif rssi is not None:
+        rssi = rssi.tolist()
         row += "%.6f"
     row += "" if est is None else ",%s"
     text = ["\n".join(lines) + "\n"]
@@ -163,7 +165,7 @@ def reference_trace_from_text(text):
             raise TraceParseError(f"bad true_channel {parts[2]!r}", line=lineno)
         channel.append(ch)
         try:
-            rssi.append(float(parts[3]) if parts[3] else None)
+            rssi.append(float(parts[3]) if parts[3] else math.nan)
         except ValueError as exc:
             raise TraceParseError(f"bad rssi_dbm {parts[3]!r}", line=lineno) from exc
         if has_est:
@@ -176,7 +178,7 @@ def reference_trace_from_text(text):
         device_ids=tuple(device_ids),
         channel=np.array(channel, np.int64),
         window_index=np.full(len(recv), -1, np.int64),
-        rssi_dbm=rssi,
+        rssi_dbm=np.array(rssi, np.float64),
     )
     return TraceFile(
         scan_interval_ns=scan_interval_ns,
@@ -199,19 +201,22 @@ def reference_attach_rssi(packets, model, distances, rng):
         if where[dev] is None:
             raise ConfigError(f"no distance given for device {packets.device_ids[dev]!r}")
         rssi.append(read(_CHANNEL_OF_ID[ch], where[dev]))
-    return replace(packets, rssi_dbm=rssi)
+    return replace(packets, rssi_dbm=np.array(rssi, np.float64))
 
 
 def columns_of(packets):
-    """Everything a Packets view holds, with dtypes, floats by repr (so nan == nan)."""
+    """Everything a Packets view holds, with dtypes; readings bit for bit,
+    any NaN as None (no reading)."""
     cols = [getattr(packets, f) for f in ("recv_ns", "device", "channel", "window_index")]
     rssi = packets.rssi_dbm
-    return (
-        [(c.dtype.str, c.tolist()) for c in cols],
-        packets.device_ids,
-        packets.clock,
-        None if rssi is None else [(type(r), repr(r)) for r in rssi],
-    )
+    if rssi is not None:
+        rssi = rssi.dtype.str, [None if math.isnan(r) else r.hex() for r in rssi.tolist()]
+    return [(c.dtype.str, c.tolist()) for c in cols], packets.device_ids, packets.clock, rssi
+
+
+def readings(values):
+    """A float64 reading column of ``values``, None (no reading) as NaN."""
+    return None if values is None else np.array(values, np.float64)
 
 
 def outcome(parse, text):
@@ -294,7 +299,7 @@ def hand_built_traces(draw):
         device_ids=tuple(names),
         channel=np.array(channel, np.int64),
         window_index=np.full(n, -1, np.int64),
-        rssi_dbm=rssi,
+        rssi_dbm=readings(rssi),
     )
     restarts = draw(st.sampled_from([(0,), (-5, 0, 10**12)]))
     trace = TraceFile(4_096_000_000, 1_024_000_000, "compliant", 3, restarts, packets)
@@ -354,7 +359,7 @@ def edge_traces(draw):
         device_ids=tuple(names),
         channel=np.array(column(st.sampled_from([0, 37, 38, 39])), np.int64),
         window_index=np.full(n, -1, np.int64),
-        rssi_dbm=column(EDGE_READINGS) if draw(st.booleans()) else None,
+        rssi_dbm=readings(column(EDGE_READINGS)) if draw(st.booleans()) else None,
     )
     form = draw(LABEL_FORMS)
     labels = form(column(st.sampled_from(sorted(EST_LABELS)))) if draw(st.booleans()) else None
@@ -395,8 +400,8 @@ BAD_CELLS = [
     ["a b", "", "dév", "a;b", "dev00", "dev01", "x", "dev\0", "dev:0123456789",
      "dev.01234", "ключ", "\ud800", "d0\0", "d2\0"],
     ["36", "x", "+37", "037", "37.0", "0", "", "38", " 39", "3_7", "37\0", "٣٧"],
-    ["loud", "", "nan", "-inf", "1e400", " -40", "-4_0.5", "-40.000000", "0x10",
-     "-0.000000", ".500000", "5.", "-40.0000001", "-40.00000", "9007199254.740993",
+    ["loud", "", "nan", "-nan", "NaN", "-inf", "1e400", " -40", "-4_0.5", "-40.000000",
+     "0x10", "-0.000000", ".500000", "5.", "-40.0000001", "-40.00000", "9007199254.740993",
      "9007199254.740992", "٣٧.٥", "-", "12345678901.000000", "000000000000.000001",
      "12345678", "-40000000"],
     ["40", "", "C37", "guard ", "37", "guard", "pre-start", "unknown", "guard\0",
@@ -476,7 +481,7 @@ def cycling_packets(n, rssi=None):
         device_ids=DEVICES,
         channel=37 + np.arange(n, dtype=np.int64) % 3,
         window_index=np.full(n, -1, np.int64),
-        rssi_dbm=rssi,
+        rssi_dbm=readings(rssi),
     )
 
 
@@ -580,6 +585,33 @@ def test_backwards_times_whose_difference_overflows():
         assert outcome(trace_from_text, text) == outcome(reference_trace_from_text, text)
 
 
+HEADER = f"{TRACE_MAGIC}\n# ts_ns=10 ds_ns=10 behavior=compliant seed=0\n{TRACE_COLUMNS}\n"
+
+
+@pytest.mark.parametrize("cell", ["", "nan", "-nan", "NaN", " nan"])
+def test_a_nan_cell_reads_as_no_reading(cell):
+    """float turns these cells into NaN, the mark of a packet without a reading."""
+    parsed = trace_from_text(HEADER + f"5,d0,38,{cell}\n7,d1,39,-40.500000\n").packets
+    assert parsed.rssi_dbm.dtype == np.float64
+    assert [p.rssi_dbm for p in parsed] == [None, -40.5]
+    assert trace_to_text(TraceFile(10, 10, "compliant", 0, packets=parsed)) == (
+        HEADER + "5,d0,38,\n7,d1,39,-40.500000\n"
+    )
+
+
+def test_a_nan_reading_is_written_as_an_empty_cell():
+    packets = cycling_packets(4, [math.nan, -50.5, -math.nan, None])
+    trace = TraceFile(10, 10, "compliant", 0, packets=packets)
+    text = trace_to_text(trace)
+    assert text == reference_trace_to_text(trace)
+    assert text.splitlines()[3:] == [
+        "0,d0,37,", "1000,d1,38,-50.500000", "2000,d2,39,", "3000,d0,37,"
+    ]
+    back = trace_from_text(text).packets
+    assert [p.rssi_dbm for p in back] == [None, -50.5, None, None]
+    assert columns_of(Packets.of(list(back))) == columns_of(back)
+
+
 @pytest.mark.parametrize("with_rssi", [False, True])
 def test_written_traces_are_read_a_block_at_a_time(with_rssi):
     # long enough for two full blocks and a short one
@@ -629,6 +661,7 @@ def assert_same_rssi(packets, model, distances, seed, pending):
         loop.gauss()
     got = attach_rssi(packets, model, distances, bulk)
     want = reference_attach_rssi(packets, model, distances, loop)
+    assert got.rssi_dbm.dtype == np.float64
     assert columns_of(got) == columns_of(want)
     assert bulk.getstate() == loop.getstate()
 
@@ -695,8 +728,7 @@ def test_packet_without_a_channel_is_refused_before_any_draw():
         channel=np.zeros(1, np.int64),
         window_index=np.full(1, -1, np.int64),
     )
-    header = f"{TRACE_MAGIC}\n# ts_ns=10 ds_ns=10 behavior=compliant seed=0\n{TRACE_COLUMNS}\n"
-    parsed = trace_from_text(header + "5,d1,38,\n7,d2,,\n").packets
+    parsed = trace_from_text(HEADER + "5,d1,38,\n7,d2,,\n").packets
     model = RssiModel(shadow_sigma_db=2.0)
     for packets, device in ((one, "d0"), (parsed, "d2")):
         rng = random.Random(5)

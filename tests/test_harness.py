@@ -305,6 +305,11 @@ def test_curve_csv_round_trip(tmp_path):
         ("0,inf,1,1,0,", "edges"),
         ("30,30,1,1,0,", "edges"),
         ("30,0,1,1,0,", "edges"),
+        ("0,30,10,5,0,banana", "accuracy"),
+        ("0,30,10,5,0,0.900000", "accuracy"),
+        ("0,30,0,0,1,0.500000", "accuracy"),
+        ("0,30,10,5,0,", "accuracy"),
+        ("0,30,10,5,0,nan", "accuracy"),
     ],
 )
 def test_curve_csv_refuses_impossible_rows(row, message):
@@ -314,6 +319,15 @@ def test_curve_csv_refuses_impossible_rows(row, message):
     with pytest.raises(TraceParseError, match=message) as exc:
         AccuracyCurve.from_csv_text("\n".join(lines + [row]))
     assert exc.value.line == len(lines) + 1
+
+
+@pytest.mark.parametrize(
+    "n_classified, n_correct", [(3, 1), (2_000_000, 281), (2_000_000, 1_999_999)]
+)
+def test_curve_csv_reads_the_accuracy_the_writer_rounds(n_classified, n_correct):
+    """Ratios at a tie of six decimals are written 5e-7 away, give or take a float error."""
+    curve = AccuracyCurve((AccuracyBucket(0.0, 30.0, n_classified, n_correct, 0),))
+    assert AccuracyCurve.from_csv_text(curve.to_csv_text()) == curve
 
 
 def test_config_from_text_parses_sections_and_comments():
@@ -348,6 +362,7 @@ def test_config_from_text_parses_sections_and_comments():
         "drift_rate = nan\n",
         "duration_s = inf\n",
         "guard_s = -inf\n",
+        "seed = 1\nseed = 2\n",
     ],
 )
 def test_config_from_text_rejects_bad_input(text):

@@ -183,18 +183,19 @@ def test_model_from_text_rejects_garbage():
         CalibrationModel.from_text(TRUTH.to_text().replace("=true", "=yes"))
 
 
-_floats = st.floats(allow_nan=True, allow_infinity=True)
-_optional = st.one_of(st.none(), _floats)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_spread = st.floats(min_value=0.0, allow_infinity=False)
+_optional = st.one_of(st.none(), _spread)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     intercept=_floats,
-    exponent=_floats,
+    exponent=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     offsets=st.tuples(_floats, _floats),
     aware=st.booleans(),
     intercept_se=_optional,
-    offset_se=st.one_of(st.none(), st.tuples(_floats, _floats)),
+    offset_se=st.one_of(st.none(), st.tuples(_spread, _spread)),
     exponent_se=_optional,
     sigma=_optional,
     n=st.integers(0, 10**9),
@@ -215,6 +216,35 @@ def test_model_text_round_trip_is_byte_stable(
     )
     text = model.to_text()
     assert CalibrationModel.from_text(text).to_text() == text
+
+
+@pytest.mark.parametrize(
+    "key, value, need",
+    [
+        ("intercept_dbm", "nan", "finite"),
+        ("intercept_dbm", "-inf", "finite"),
+        ("path_loss_exponent", "0", "finite and positive"),
+        ("path_loss_exponent", "-2.0", "finite and positive"),
+        ("path_loss_exponent", "inf", "finite and positive"),
+        ("offset_38_db", "nan", "finite"),
+        ("offset_39_db", "inf", "finite"),
+        ("intercept_se", "-0.5", "finite and non-negative"),
+        ("offset_38_se", "nan", "finite and non-negative"),
+        ("offset_39_se", "-1e-300", "finite and non-negative"),
+        ("exponent_se", "inf", "finite and non-negative"),
+        ("residual_sigma_db", "-1.0", "finite and non-negative"),
+        ("residual_sigma_db", "nan", "finite and non-negative"),
+        ("n_samples", "-1", "finite and non-negative"),
+    ],
+)
+def test_model_from_text_refuses_what_calibrate_never_writes(key, value, need):
+    text = calibrate(make_samples(TRUTH, substream(15, "cal"), sigma=1.0)).to_text()
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(key + "="))
+    lines[at] = f"{key}={value}"
+    with pytest.raises(TraceParseError) as exc:
+        CalibrationModel.from_text("\n".join(lines))
+    assert str(exc.value) == f"{key} must be {need}, got {value!r}"
 
 
 def test_standard_errors_shrink_with_sample_size():
