@@ -913,21 +913,24 @@ class ExperimentConfig:
             raise ConfigError("path_loss_exponent must be positive")
         if not 0 < self.distance_min_m <= self.distance_max_m < math.inf:
             raise ConfigError("need 0 < distance_min_m <= distance_max_m < inf")
+        offsets = self.offsets()
+        for name, value in [
+            ("tx_power_dbm", self.tx_power_dbm),
+            ("antenna_gain_db", self.antenna_gain_db),
+            ("shadow_sigma_db", self.shadow_sigma_db),
+            *(("channel_offsets_db", v) for v in offsets),
+        ]:
+            if not abs(value) <= MAX_SAMPLE_RSSI_DBM:  # nan fails too
+                raise ConfigError(f"{name} must be a finite value in {_RSSI_BOUNDS}")
+        if self.shadow_sigma_db < 0:
+            raise ConfigError("shadow_sigma_db must be non-negative")
         rssi = RssiModel(
             tx_power_dbm=self.tx_power_dbm,
             antenna_gain_db=self.antenna_gain_db,
             path_loss_exponent=self.path_loss_exponent,
             shadow_sigma_db=self.shadow_sigma_db,
-            channel_offset_db=self.offsets(),
+            channel_offset_db=offsets,
         )
-        for name, value in [
-            ("tx_power_dbm", rssi.tx_power_dbm),
-            ("antenna_gain_db", rssi.antenna_gain_db),
-            ("shadow_sigma_db", rssi.shadow_sigma_db),
-            *(("channel_offsets_db", v) for v in rssi.channel_offset_db),
-        ]:
-            if not abs(value) <= MAX_SAMPLE_RSSI_DBM:  # nan fails too
-                raise ConfigError(f"{name} must be a finite value in {_RSSI_BOUNDS}")
         predict = rssi.to_calibration().predict_rssi
         for ch, d in product(_ALL_CHANNELS, (self.distance_min_m, self.distance_max_m)):
             level = predict(ch, d)
@@ -1182,19 +1185,21 @@ class RangingResult:
 def gen_ranging_samples(cfg: ExperimentConfig, rssi: RssiModel, n: int, rng) -> list[RangingSample]:
     """Draw labeled RSSI observations from ``rssi``, the config's RSSI model.
 
-    Distances are log-uniform between the configured bounds, channels
-    uniform, readings exact model predictions plus Gaussian shadowing.
+    Distances are log-uniform between the configured bounds, channels uniform;
+    each sample draws its channel, distance, then (if shadowed) one ``rng.gauss``.
     ``cfg`` is expected to have passed :meth:`ExperimentConfig.validate`.
     """
-    read = rssi.reader(rng)
     lo = math.log10(cfg.distance_min_m)
     hi = math.log10(cfg.distance_max_m)
-    samples = []
+    shadowed = rssi.shadow_sigma_db > 0
+    channels, distances, z = [], [], []
     for _ in range(n):
-        ch = rng.choice(_ALL_CHANNELS)
-        d = 10.0 ** (lo + rng.random() * (hi - lo))
-        samples.append(RangingSample(channel=ch, distance_m=d, rssi_dbm=read(ch, d)))
-    return samples
+        channels.append(rng.choice(_ALL_CHANNELS))
+        distances.append(10.0 ** (lo + rng.random() * (hi - lo)))
+        if shadowed:
+            z.append(rng.gauss(0.0, 1.0))
+    level = rssi.readings([c.id for c in channels], distances, z if shadowed else None)
+    return list(map(RangingSample, channels, distances, level.tolist()))
 
 
 def run_ranging_experiment(cfg: ExperimentConfig) -> RangingResult:

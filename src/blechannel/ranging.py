@@ -72,6 +72,13 @@ _FREQ_TERM_DB = {
 }
 
 
+# Every key CalibrationModel.to_text writes.
+_MODEL_KEYS = frozenset(
+    "channel_aware intercept_dbm path_loss_exponent offset_38_db offset_39_db intercept_se"
+    " offset_38_se offset_39_se exponent_se residual_sigma_db n_samples".split()
+)
+
+
 @dataclass(frozen=True, slots=True)
 class CalibrationModel:
     """Fitted RSSI model.
@@ -149,7 +156,12 @@ class CalibrationModel:
             key, sep, value = line.partition("=")
             if not sep:
                 raise TraceParseError("expected key=value", line=i)
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _MODEL_KEYS:
+                raise TraceParseError(f"unknown key {key!r}", line=i)
+            if key in fields:
+                raise TraceParseError(f"duplicate key {key!r}", line=i)
+            fields[key] = value.strip()
         aware = fields.get("channel_aware", "true")
         if aware not in ("true", "false"):
             raise TraceParseError(f"channel_aware must be true or false, got {aware!r}")
@@ -174,16 +186,16 @@ class CalibrationModel:
         for key in ("intercept_dbm", "path_loss_exponent"):
             if key not in fields:
                 raise TraceParseError(f"bad model file: {key} missing")
-        off_se = None
-        if "offset_38_se" in fields and "offset_39_se" in fields:
-            off_se = tuple(number(f"offset_{c}_se", "non-negative") for c in (38, 39))
+        se_keys = [key for key in ("offset_38_se", "offset_39_se") if key in fields]
+        if len(se_keys) == 1:
+            raise TraceParseError(f"bad model file: {se_keys[0]} without the other offset_*_se")
         return cls(
             intercept_dbm=number("intercept_dbm"),
             path_loss_exponent=number("path_loss_exponent", "positive"),
             channel_offset_db=(0.0, number("offset_38_db"), number("offset_39_db")),
             channel_aware=aware == "true",
             intercept_se=number("intercept_se", "non-negative"),
-            offset_se=off_se,
+            offset_se=tuple(number(key, "non-negative") for key in se_keys) or None,
             exponent_se=number("exponent_se", "non-negative"),
             residual_sigma_db=number("residual_sigma_db", "non-negative"),
             n_samples=number("n_samples", "non-negative", int),

@@ -575,10 +575,15 @@ class RssiModel:
     channel_offset_db: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.shadow_sigma_db < 0:
-            raise ConfigError("shadow_sigma_db must be non-negative")
         if len(self.channel_offset_db) != 3:
             raise ConfigError("channel_offset_db needs one entry per advertising channel")
+        for name in ("tx_power_dbm", "antenna_gain_db", "channel_offset_db"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite")
+        if not 0 < self.path_loss_exponent < math.inf:
+            raise ConfigError("path_loss_exponent must be finite and positive")
+        if not 0 <= self.shadow_sigma_db < math.inf:
+            raise ConfigError("shadow_sigma_db must be finite and non-negative")
 
     def to_calibration(self) -> "ranging.CalibrationModel":
         """The exact noise-free model, as a calibration result."""
@@ -593,16 +598,20 @@ class RssiModel:
             channel_offset_db=self.channel_offset_db,
         )
 
-    def reader(self, rng: random.Random):
-        """``read(channel, distance_m)``: the exact prediction plus one shadowing draw."""
-        predict, gauss = self.to_calibration().predict_rssi, rng.gauss
-        sigma = self.shadow_sigma_db
-
-        def read(channel: Channel, distance_m: float) -> float:
-            level = predict(channel, distance_m)
-            return level + gauss(0.0, sigma) if sigma > 0 else level
-
-        return read
+    def readings(self, channel, distance_m, z=None) -> np.ndarray:
+        """The readings at channel ids ``channel`` and distances ``distance_m`` (m):
+        ``to_calibration().predict_rssi``, once per distinct (channel, distance) pair,
+        plus ``0.0 + z * shadow_sigma_db`` (what ``rng.gauss(0.0, sigma)`` adds) where
+        standard-normal draws ``z`` are given."""
+        predict = self.to_calibration().predict_rssi
+        dist, d_at = np.unique(np.asarray(distance_m, np.float64), return_inverse=True)
+        key = np.asarray(channel, np.int64) * len(dist) + d_at
+        keys, inverse = np.unique(key, return_inverse=True)
+        pairs = zip((keys // len(dist)).tolist(), dist[keys % len(dist)].tolist())
+        level = np.array([predict(Channel.of(c), d) for c, d in pairs], np.float64)[inverse]
+        if z is not None:
+            level += 0.0 + np.asarray(z, np.float64) * self.shadow_sigma_db
+        return level
 
 
 @dataclass(frozen=True, slots=True)
@@ -784,9 +793,9 @@ def attach_rssi(
 ) -> Packets:
     """Fill in RSSI readings given each device's distance in metres.
 
-    The readings and the final ``rng`` state are those of ``model.reader(rng)``
-    called once per packet in packet order: one prediction per channel and
-    device, plus one shadowing draw per packet (see :func:`_gauss_draws`).
+    The readings are :meth:`RssiModel.readings`, with one shadowing draw per
+    packet in packet order when ``model.shadow_sigma_db > 0``: the floats and
+    final ``rng`` state of one ``rng.gauss`` each (see :func:`_gauss_draws`).
     A packet without an advertising channel, or a device without a
     distance, is refused before anything is drawn.
     """
@@ -800,14 +809,6 @@ def attach_rssi(
     if missing.any():
         dev = packets.device[np.argmax(missing)]
         raise ConfigError(f"no distance given for device {packets.device_ids[dev]!r}")
-    predict = model.to_calibration().predict_rssi
-    key = packets.channel * len(where) + packets.device
-    keys, inverse = np.unique(key, return_inverse=True)
-    level = np.array(
-        [predict(_CHANNEL_OF_ID[k // len(where)], where[k % len(where)]) for k in keys.tolist()],
-        np.float64,
-    )[inverse]
-    sigma = model.shadow_sigma_db
-    if sigma > 0:  # the reader adds rng.gauss(0.0, sigma), which is 0.0 + z * sigma
-        level += 0.0 + _gauss_draws(len(level), rng) * sigma
-    return replace(packets, rssi_dbm=level)
+    z = _gauss_draws(len(packets.device), rng) if model.shadow_sigma_db > 0 else None
+    distance = np.array(where, np.float64)[packets.device]  # None (no packets) is NaN
+    return replace(packets, rssi_dbm=model.readings(packets.channel, distance, z))

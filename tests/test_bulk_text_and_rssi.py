@@ -2,8 +2,10 @@
 against the code they replace.
 
 ``reference_trace_to_text`` is the %-format writer that the byte columns
-replaced; ``reference_trace_from_text`` and ``reference_attach_rssi`` are
-the row-at-a-time versions.  They are kept as the references, as
+replaced; ``reference_trace_from_text``, ``reference_attach_rssi`` and
+``reference_ranging_samples`` are the row-at-a-time versions, one
+``rng.gauss(0.0, sigma)`` added to each prediction in the last two.  They
+are kept as the references, as
 ``reference_starts`` is in ``test_advertising_draws.py``.  The new versions
 must write the same bytes, read the same columns or raise the same error
 for the same line, and give the same readings and final generator state.
@@ -28,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blechannel import harness, simkit
-from blechannel.core import CHANNEL_FREQ_HZ
+from blechannel.core import CHANNEL_FREQ_HZ, Channel
 from blechannel.detector import _LABELS, Labels
 from blechannel.errors import ConfigError, TraceOrderError, TraceParseError
 from blechannel.harness import (
@@ -44,11 +46,13 @@ from blechannel.harness import (
     TraceFile,
     _csv_rows,
     _parse_meta_tokens,
+    gen_ranging_samples,
     simulate_scenario,
     trace_from_text,
     trace_to_text,
 )
-from blechannel.simkit import _CHANNEL_OF_ID, Packets, RssiModel, attach_rssi
+from blechannel.ranging import CalibrationModel, RangingSample
+from blechannel.simkit import _ALL_CHANNELS, _CHANNEL_OF_ID, Packets, RssiModel, attach_rssi
 
 
 def reference_trace_to_text(trace):
@@ -192,16 +196,31 @@ def reference_trace_from_text(text):
 
 
 def reference_attach_rssi(packets, model, distances, rng):
-    """One ``model.reader(rng)`` call per packet."""
+    """Per packet, the exact prediction plus one ``rng.gauss(0.0, sigma)`` if sigma > 0."""
     packets = Packets.of(packets)
-    read = model.reader(rng)
+    predict, sigma = model.to_calibration().predict_rssi, model.shadow_sigma_db
     where = [distances.get(d) for d in packets.device_ids]
     rssi = []
     for dev, ch in zip(packets.device.tolist(), packets.channel.tolist()):
         if where[dev] is None:
             raise ConfigError(f"no distance given for device {packets.device_ids[dev]!r}")
-        rssi.append(read(_CHANNEL_OF_ID[ch], where[dev]))
+        level = predict(_CHANNEL_OF_ID[ch], where[dev])
+        rssi.append(level + rng.gauss(0.0, sigma) if sigma > 0 else level)
     return replace(packets, rssi_dbm=np.array(rssi, np.float64))
+
+
+def reference_ranging_samples(cfg, rssi, n, rng):
+    """One sample at a time: channel, distance, then the prediction plus one
+    ``rng.gauss(0.0, sigma)`` if sigma > 0."""
+    predict, sigma = rssi.to_calibration().predict_rssi, rssi.shadow_sigma_db
+    lo, hi = math.log10(cfg.distance_min_m), math.log10(cfg.distance_max_m)
+    samples = []
+    for _ in range(n):
+        ch = rng.choice(_ALL_CHANNELS)
+        d = 10.0 ** (lo + rng.random() * (hi - lo))
+        level = predict(ch, d)
+        samples.append(RangingSample(ch, d, level + rng.gauss(0.0, sigma) if sigma > 0 else level))
+    return samples
 
 
 def columns_of(packets):
@@ -736,3 +755,74 @@ def test_packet_without_a_channel_is_refused_before_any_draw():
         with pytest.raises(ConfigError, match=message):
             attach_rssi(packets, model, dict.fromkeys(DEVICES, 1.0), rng)
         assert rng.getstate() == random.Random(5).getstate()
+
+
+# A few repeated (channel, distance) pairs, and a free one now and then.
+_pairs = st.tuples(
+    st.sampled_from([37, 38, 39]), st.sampled_from([0.5, 2.0, 7.25]) | st.floats(0.1, 50.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(_pairs, max_size=40),
+    sigma=st.sampled_from([0.0, 0.5, 2.0, 3.7]),
+    offsets=st.tuples(st.floats(-15, 15), st.floats(-15, 15)),
+    z=st.none() | st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-8, 8), min_size=40),
+    as_arrays=st.booleans(),
+)
+def test_readings_are_predictions_plus_shadowing_bit_for_bit(pairs, sigma, offsets, z, as_arrays):
+    model = RssiModel(
+        tx_power_dbm=-4.0, shadow_sigma_db=sigma, channel_offset_db=(0.0, *offsets)
+    )
+    channel, distance = [c for c, _ in pairs], [d for _, d in pairs]
+    z = z if z is None else z[: len(pairs)]
+    if as_arrays:
+        channel, distance = np.array(channel, np.int64), np.array(distance)
+        z = z if z is None else np.array(z)
+    got = model.readings(channel, distance, z)
+    predict = model.to_calibration().predict_rssi
+    want = [predict(Channel.of(c), d) for c, d in pairs]
+    if z is not None:
+        want = [level + (0.0 + float(zi) * sigma) for level, zi in zip(want, z)]
+    assert got.dtype == np.float64
+    assert [r.hex() for r in got.tolist()] == [w.hex() for w in want]
+
+
+def test_readings_predict_each_distinct_pair_once(monkeypatch):
+    calls = []
+    predict = CalibrationModel.predict_rssi
+    monkeypatch.setattr(
+        CalibrationModel,
+        "predict_rssi",
+        lambda self, ch, d: calls.append((ch.id, d)) or predict(self, ch, d),
+    )
+    model = RssiModel(shadow_sigma_db=2.0)
+    level = model.readings([37, 38, 37, 37, 39, 38], [2.0, 2.0, 2.0, 4.0, 2.0, 2.0])
+    assert sorted(calls) == [(37, 2.0), (37, 4.0), (38, 2.0), (39, 2.0)]
+    assert level[0] == level[2] and level[1] == level[5]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    n=st.sampled_from([0, 1, 2, 3, 4, 7, 8]) | st.integers(0, 300),
+    pending=st.booleans(),
+    sigma=st.sampled_from([0.0, 0.5, 2.0, 3.7]),
+    bounds=st.sampled_from([(1.0, 16.0), (0.25, 0.25), (0.5, 40.0)]),
+)
+def test_ranging_samples_match_the_per_sample_loop(seed, n, pending, sigma, bounds):
+    cfg = ExperimentConfig(distance_min_m=bounds[0], distance_max_m=bounds[1])
+    rssi = RssiModel(shadow_sigma_db=sigma, channel_offset_db=(0.0, 6.0, -9.5))
+    bulk, loop = random.Random(seed), random.Random(seed)
+    if pending:
+        bulk.gauss()
+        loop.gauss()
+    got = gen_ranging_samples(cfg, rssi, n, bulk)
+    want = reference_ranging_samples(cfg, rssi, n, loop)
+
+    def fields(samples):
+        return [(s.channel, type(s.rssi_dbm), s.distance_m.hex(), s.rssi_dbm.hex()) for s in samples]
+
+    assert fields(got) == fields(want)
+    assert bulk.getstate() == loop.getstate()

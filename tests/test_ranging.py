@@ -247,6 +247,24 @@ def test_model_from_text_refuses_what_calibrate_never_writes(key, value, need):
     assert str(exc.value) == f"{key} must be {need}, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("bogus=1", "line 8: unknown key 'bogus'"),
+        ("intercept_dbm=-60", "line 8: duplicate key 'intercept_dbm'"),
+        ("channel_aware=false", "line 8: duplicate key 'channel_aware'"),
+        ("offset_38_se=0.5", "bad model file: offset_38_se without the other offset_*_se"),
+        ("offset_39_se=0.5", "bad model file: offset_39_se without the other offset_*_se"),
+    ],
+)
+def test_model_from_text_refuses_keys_to_text_never_writes(extra, message):
+    text = TRUTH.to_text()
+    assert len(text.splitlines()) == 7
+    with pytest.raises(TraceParseError) as exc:
+        CalibrationModel.from_text(text + extra + "\n")
+    assert str(exc.value) == message
+
+
 def test_standard_errors_shrink_with_sample_size():
     small = calibrate(make_samples(TRUTH, substream(16, "cal"), n=60, sigma=2.0))
     large = calibrate(make_samples(TRUTH, substream(16, "cal"), n=960, sigma=2.0))

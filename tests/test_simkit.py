@@ -589,6 +589,29 @@ def test_attach_rssi_shadowing_is_seeded():
     assert one[0].rssi_dbm != base[0].rssi_dbm
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tx_power_dbm", math.nan, "tx_power_dbm must be finite"),
+        ("tx_power_dbm", math.inf, "tx_power_dbm must be finite"),
+        ("antenna_gain_db", -math.inf, "antenna_gain_db must be finite"),
+        ("channel_offset_db", (math.nan, 0.0, 0.0), "channel_offset_db must be finite"),
+        ("channel_offset_db", (0.0, 0.0, -math.inf), "channel_offset_db must be finite"),
+        ("path_loss_exponent", math.nan, "path_loss_exponent must be finite and positive"),
+        ("path_loss_exponent", math.inf, "path_loss_exponent must be finite and positive"),
+        ("path_loss_exponent", 0.0, "path_loss_exponent must be finite and positive"),
+        ("path_loss_exponent", -2.0, "path_loss_exponent must be finite and positive"),
+        ("shadow_sigma_db", math.nan, "shadow_sigma_db must be finite and non-negative"),
+        ("shadow_sigma_db", math.inf, "shadow_sigma_db must be finite and non-negative"),
+        ("shadow_sigma_db", -1.0, "shadow_sigma_db must be finite and non-negative"),
+    ],
+)
+def test_rssi_model_refuses_figures_it_cannot_evaluate(field, value, message):
+    with pytest.raises(ConfigError) as exc:
+        RssiModel(**{field: value})
+    assert str(exc.value) == message
+
+
 def test_channel_offsets_shift_expected_rssi():
     model = RssiModel(channel_offset_db=(0.0, 6.0, -3.0))
     truth = model.to_calibration()
