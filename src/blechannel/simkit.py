@@ -165,7 +165,8 @@ class ScanWindows(ColumnView):
         return cls(*np.concatenate(parts, axis=1))
 
 
-# Most candidates one ``getrandbits`` call of _event_starts draws.
+# Most candidates one ``getrandbits`` call of _event_starts draws, which
+# also bounds what a block drawn past the end of the run overdraws.
 _DRAW_BLOCK = 1 << 16
 
 
@@ -180,24 +181,41 @@ def _event_starts(start_ns: int, end_ns: int, base_ns: int, span: int, rng) -> n
     Same int64 values and final ``rng`` state for 1 <= span <= 2**54: one
     ``getrandbits(32*w*n)`` holds the Mersenne Twister words of n candidates
     of CPython's ``randrange`` (``getrandbits(k)``, k = span.bit_length(): w
-    words, least significant first, the last shifted right by 32*w - k), and a
-    block asks for no more candidates than events certain to come.
+    words, least significant first, the last shifted right by 32*w - k).  The
+    first block asks for the candidates certain to be used.  Each later block
+    asks for those the expected events left need at the acceptance rate
+    span / 2**k, plus slack; when the run ends inside it, ``rng`` is set back
+    to its state before the block and draws the words of the used candidates
+    again, so it stands where the loop leaves it.  No block forms an instant
+    past the int64 range.
     """
     k = span.bit_length()
     w = (k - 1) // 32 + 1
-    parts, t = [np.zeros(0, np.int64)], start_ns
+    top = base_ns + span - 1
+    parts, t, saved = [np.zeros(0, np.int64)], start_ns, None
     while t <= end_ns:
-        n = min((end_ns - t) // (base_ns + span - 1) + 1, _DRAW_BLOCK)
+        n = (end_ns - t) // top + 1  # one per event certain to come
+        if len(parts) > 1:  # after the first block that kept a candidate
+            saved = rng.getstate()
+            events = 2 * (end_ns - t) // (2 * base_ns + span - 1) + 1
+            n = (events << k) // span + events // 8 + 16
+        n = min(n, _DRAW_BLOCK, _INT64_MAX // top, (_INT64_MAX - t) // top + 1)
         words = _words(rng, w * n).reshape(n, w).copy()
         words[:, -1] >>= 32 * w - k
         cand = words.view(f"<u{4 * w}").ravel()
-        step = cand[cand < span].astype(np.int64) + base_ns
-        if len(step):
+        kept = np.flatnonzero(cand < span)
+        if len(kept):
+            step = cand[kept].astype(np.int64) + base_ns
             starts = np.cumsum(step)
             starts -= step
             starts += t
-            parts.append(starts)
             t = int(starts[-1]) + int(step[-1])
+            if t > end_ns and saved is not None:
+                m = int(np.searchsorted(starts, end_ns, "right"))
+                starts = starts[:m]
+                rng.setstate(saved)
+                rng.getrandbits(32 * w * (int(kept[m - 1]) + 1))
+            parts.append(starts)
     return np.concatenate(parts)
 
 
@@ -796,8 +814,8 @@ def attach_rssi(
     The readings are :meth:`RssiModel.readings`, with one shadowing draw per
     packet in packet order when ``model.shadow_sigma_db > 0``: the floats and
     final ``rng`` state of one ``rng.gauss`` each (see :func:`_gauss_draws`).
-    A packet without an advertising channel, or a device without a
-    distance, is refused before anything is drawn.
+    A packet without an advertising channel, or a device without a finite
+    positive distance, is refused before anything is drawn.
     """
     packets = Packets.of(packets)
     unknown = ~np.isin(packets.channel, ADVERTISING_CHANNELS)
@@ -805,10 +823,13 @@ def attach_rssi(
         dev = packets.device[np.argmax(unknown)]
         raise ConfigError(f"no advertising channel for a packet of {packets.device_ids[dev]!r}")
     where = [distances.get(d) for d in packets.device_ids]
-    missing = np.array([d is None for d in where], bool)[packets.device]
-    if missing.any():
-        dev = packets.device[np.argmax(missing)]
-        raise ConfigError(f"no distance given for device {packets.device_ids[dev]!r}")
+    distance = np.array(where, np.float64)[packets.device]  # None is NaN
+    bad = ~(np.isfinite(distance) & (distance > 0))
+    if bad.any():
+        dev = packets.device[np.argmax(bad)]
+        name = packets.device_ids[dev]
+        if where[dev] is None:
+            raise ConfigError(f"no distance given for device {name!r}")
+        raise ConfigError(f"distance of device {name!r} must be finite and positive")
     z = _gauss_draws(len(packets.device), rng) if model.shadow_sigma_db > 0 else None
-    distance = np.array(where, np.float64)[packets.device]  # None (no packets) is NaN
     return replace(packets, rssi_dbm=model.readings(packets.channel, distance, z))

@@ -738,6 +738,22 @@ def test_missing_distance_is_refused_before_any_draw():
     assert loop.getstate() != bulk.getstate()
 
 
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+def test_distance_that_is_not_finite_and_positive_is_refused_before_any_draw(distance):
+    """NaN readings would be written as empty cells, inf as -inf readings."""
+    packets = Packets(
+        recv_ns=np.arange(3, dtype=np.int64),
+        device=np.array([0, 1, 1], np.intp),
+        device_ids=("a", "b"),
+        channel=np.array([37, 38, 39], np.int64),
+        window_index=np.full(3, -1, np.int64),
+    )
+    rng = random.Random(5)
+    with pytest.raises(ConfigError, match="^distance of device 'b' must be finite and positive$"):
+        attach_rssi(packets, RssiModel(shadow_sigma_db=2.0), {"a": 1.0, "b": distance}, rng)
+    assert rng.getstate() == random.Random(5).getstate()
+
+
 def test_packet_without_a_channel_is_refused_before_any_draw():
     """Channel 0, as a blank true_channel parses, has no level to predict."""
     one = Packets(

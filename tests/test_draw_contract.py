@@ -6,7 +6,9 @@ of 32-bit Mersenne Twister words instead of calling ``randrange`` or
 value that ``gauss`` keeps pending in ``gauss_next``.
 ``RapidToggle.windows`` and the channel walk of the random-hop scanners
 call ``getrandbits`` themselves where ``randrange`` and ``choice`` would.
-Both only give the same numbers if the interpreter draws those values in
+``_event_starts`` may draw words past the end of a run, then sets the
+generator back with ``setstate`` and draws the used words again in one call.
+Each only gives the same numbers if the interpreter draws those values in
 the way checked here.  Standard library only, so it runs on any
 interpreter without numpy:
 
@@ -147,6 +149,26 @@ def test_gauss_returns_box_muller_pairs_and_keeps_the_sine_pending():
         a.gauss_next = 0.25
         assert a.gauss(0.0, 1.0) == 0.25 and a.gauss_next is None
         assert a.getstate()[1] == words
+
+
+def test_set_back_then_one_long_draw_stands_where_single_words_stand():
+    for seed in SEEDS:
+        for pending in (False, True):
+            for ahead in (0, 1, 5, 624, 1500):
+                for m in (1, 2, 623, 624, 625, 2000):
+                    a, b = clones(seed)
+                    if pending:
+                        a.gauss(0.0, 1.0)
+                        b.gauss(0.0, 1.0)
+                    saved = a.getstate()
+                    if ahead:
+                        a.getrandbits(32 * ahead)  # a block drawn past the run's end
+                    a.setstate(saved)
+                    a.getrandbits(32 * m)
+                    for _ in range(m):
+                        b.getrandbits(32)
+                    assert a.getstate() == b.getstate()
+                    assert (a.gauss_next is not None) == pending
 
 
 if __name__ == "__main__":
