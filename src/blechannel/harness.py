@@ -180,7 +180,7 @@ def _table_cells(table: np.ndarray, codes: np.ndarray):
 
 
 def _reading_cells(x: np.ndarray):
-    """``format(v, ".6f")`` of each float64 ``v``; nothing where ``v`` is NaN.
+    """``format(v, ".6f")`` of each float64 ``v``; nothing where ``v`` is NaN (width 0 if all are).
 
     A cell is formatted here only where the result is certain: ``v`` finite,
     ``y = |v| * 1e6`` below 2**52 and more than ``y * 2**-52`` away from a
@@ -190,6 +190,8 @@ def _reading_cells(x: np.ndarray):
     by ``format`` itself.
     """
     blank = np.isnan(x)
+    if blank.all():
+        return 0, None
     ax = np.abs(x)
     small = ax < _FAST_SCALED / 1e6  # False for nan
     y = np.where(small, ax, 0.0) * 1e6
@@ -248,7 +250,6 @@ def trace_to_text(trace: TraceFile) -> str:
     # Each block of rows is one uint8 matrix: each cell a NUL-padded run of
     # columns and a separator after it.  Dropping the NULs leaves the rows' bytes.
     names = np.array(packets.device_ids, "S")
-    rssi = packets.rssi_dbm
     width = 21 + names.itemsize + _CHANNEL_TEXT.itemsize + 18 + _LABEL_TEXT.itemsize + 5
     step = max(1, min(_WRITE_BLOCK, (_WRITE_BLOCK << 7) // width))
     body = []
@@ -258,10 +259,8 @@ def trace_to_text(trace: TraceFile) -> str:
             _int_cells(packets.recv_ns[rows]),
             _table_cells(names, packets.device[rows]),
             _table_cells(_CHANNEL_TEXT, channel_code[rows]),
-            (0, None),
+            _reading_cells(packets.rssi_dbm[rows]),
         ]
-        if rssi is not None:
-            cols[-1] = _reading_cells(rssi[rows])
         if est is not None:
             cols.append(_table_cells(_LABEL_TEXT, est.code[rows]))
         block = np.zeros((min(step, len(packets) - i), sum(w + 1 for w, _ in cols)), np.uint8)
@@ -298,11 +297,14 @@ def write_trace(trace: TraceFile, path: str) -> None:
 
 
 def _parse_meta_tokens(line: str, lineno: int) -> dict[str, str]:
+    """The ``key=value`` tokens of a ``#`` line, each key once."""
     out = {}
     for token in line[1:].split():
         key, sep, value = token.partition("=")
         if not sep:
             raise TraceParseError(f"bad metadata token {token!r}", line=lineno)
+        if key in out:
+            raise TraceParseError(f"repeated metadata key {key!r}", line=lineno)
         out[key] = value
     return out
 
@@ -514,33 +516,44 @@ def _trace_header(lines: list[str]):
         raise TraceParseError(f"missing {TRACE_MAGIC!r} magic", line=1)
     if len(lines) < 2 or not lines[1].startswith("#"):
         raise TraceParseError("missing metadata line", line=2)
-    tokens = _parse_meta_tokens(lines[1], 2)
-    try:
-        meta = (int(tokens["ts_ns"]), int(tokens["ds_ns"]), tokens["behavior"], int(tokens["seed"]))
-    except KeyError as exc:
-        raise TraceParseError(f"metadata key {exc.args[0]} missing", line=2) from exc
-    except ValueError as exc:
-        raise TraceParseError(f"bad metadata: {exc}", line=2) from exc
+    # The metadata line, then more ``#`` lines and blank lines, may precede
+    # the column header; each key stands once among all their tokens.
+    tokens, line_of, i = {}, {}, 1
+    while i < len(lines) and (lines[i].startswith("#") or not lines[i].strip()):
+        if lines[i].startswith("#"):
+            extra = _parse_meta_tokens(lines[i], i + 1)
+            for key in extra:
+                if key in tokens:
+                    raise TraceParseError(f"repeated metadata key {key!r}", line=i + 1)
+            tokens.update(extra)
+            line_of.update(dict.fromkeys(extra, i + 1))
+        i += 1
+
+    def value(key, kind=int):  # errors name the line of the key, or line 2 without one
+        try:
+            return kind(tokens[key])
+        except KeyError:
+            raise TraceParseError(f"metadata key {key} missing", line=2) from None
+        except ValueError as exc:
+            raise TraceParseError(f"bad metadata: {exc}", line=line_of[key]) from exc
+
+    meta = (value("ts_ns"), value("ds_ns"), value("behavior", str), value("seed"))
     if not 0 < meta[1] <= meta[0] <= _INT64_MAX:
-        raise TraceParseError("need 0 < ds_ns <= ts_ns < 2**63", line=2)
+        line = max(line_of["ts_ns"], line_of["ds_ns"])
+        raise TraceParseError("need 0 < ds_ns <= ts_ns < 2**63", line=line)
 
     restarts = (0,)
-    i = 2
-    # Metadata comments and blank lines may precede the column header.
-    while i < len(lines) and (lines[i].startswith("#") or not lines[i].strip()):
-        extra = _parse_meta_tokens(lines[i], i + 1) if lines[i].startswith("#") else {}
-        if "restarts_ns" in extra:
-            try:
-                restarts = tuple(int(v) for v in extra["restarts_ns"].split(","))
-            except ValueError as exc:
-                raise TraceParseError("bad restarts_ns list", line=i + 1) from exc
-            if not restarts or any(b <= a for a, b in zip(restarts, restarts[1:])):
-                raise TraceParseError(
-                    "restarts_ns must be non-empty and strictly increasing", line=i + 1
-                )
-            if not _INT64_MIN <= restarts[0] <= restarts[-1] <= _INT64_MAX:
-                raise TraceParseError("restarts_ns out of the int64 range", line=i + 1)
-        i += 1
+    if "restarts_ns" in tokens:
+        lineno = line_of["restarts_ns"]
+        try:
+            restarts = tuple(int(v) for v in tokens["restarts_ns"].split(","))
+        except ValueError as exc:
+            raise TraceParseError("bad restarts_ns list", line=lineno) from exc
+        if not restarts or any(b <= a for a, b in zip(restarts, restarts[1:])):
+            message = "restarts_ns must be non-empty and strictly increasing"
+            raise TraceParseError(message, line=lineno)
+        if not _INT64_MIN <= restarts[0] <= restarts[-1] <= _INT64_MAX:
+            raise TraceParseError("restarts_ns out of the int64 range", line=lineno)
 
     if i >= len(lines):
         raise TraceParseError("missing column header", line=len(lines) + 1)
@@ -1052,6 +1065,8 @@ def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False)
             )
         )
 
+    # One view of every advertiser's events: simulate_reception takes a view or a
+    # sequence of AdvertisingEvent, and perfbench counts beacons over its items.
     packets = simulate_reception(
         AdvertisingEvents.of(events), windows, restarts, clock, parts.loss, substream(seed, "rx")
     )

@@ -16,7 +16,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, replace
-from itertools import groupby, islice
+from itertools import islice
 
 import numpy as np
 
@@ -149,20 +149,13 @@ class ScanWindows(ColumnView):
 
     @classmethod
     def of(cls, windows) -> "ScanWindows":
-        """A view of ``windows``: a view, or a sequence of windows or views."""
+        """A view of ``windows``: a view as it is, or a sequence of :class:`ScanWindow`."""
         if isinstance(windows, cls):
             return windows
-        parts = [np.zeros((3, 0), np.int64)]
-        for is_view, group in groupby(windows, lambda w: isinstance(w, cls)):
-            if is_view:
-                parts += [np.stack([w.start_ns, w.end_ns, w.channel]) for w in group]
-                continue
-            group = list(group)
-            if any(w.start.clock != RADIO_CLOCK or w.end.clock != RADIO_CLOCK for w in group):
-                raise ClockMismatchError("scan windows are radio-clocked")
-            rows = [(w.start.ns, w.end.ns, w.channel.id) for w in group]
-            parts.append(np.array(rows, np.int64).T)
-        return cls(*np.concatenate(parts, axis=1))
+        rows = [(w.start, w.end, w.channel.id) for w in windows]
+        if any(s.clock != RADIO_CLOCK or e.clock != RADIO_CLOCK for s, e, _ in rows):
+            raise ClockMismatchError("scan windows are radio-clocked")
+        return cls(*np.array([(s.ns, e.ns, c) for s, e, c in rows], np.int64).reshape(-1, 3).T)
 
 
 # Most candidates one ``getrandbits`` call of _event_starts draws, which
@@ -651,7 +644,7 @@ class Packets(ColumnView):
     ``recv_ns`` holds timestamps on ``clock``, ``device`` indexes
     ``device_ids``, ``channel`` holds channel ids (0 when unknown) and
     ``rssi_dbm`` is a float64 column of readings, NaN where a packet has
-    none, or None when no readings are attached.
+    none (an item's ``rssi_dbm`` is then None), all NaN without RSSI.
     """
 
     recv_ns: np.ndarray
@@ -659,19 +652,19 @@ class Packets(ColumnView):
     device_ids: tuple[str, ...]
     channel: np.ndarray
     window_index: np.ndarray
-    rssi_dbm: np.ndarray | None = None
+    rssi_dbm: np.ndarray
     clock: str = APP_CLOCK
 
     def __len__(self) -> int:
         return len(self.recv_ns)
 
     def _item(self, i: int) -> PacketRecord:
-        rssi = None if self.rssi_dbm is None else float(self.rssi_dbm[i])
+        rssi = float(self.rssi_dbm[i])
         return PacketRecord(
             recv=TimeInstant(int(self.recv_ns[i]), self.clock),
             device_id=self.device_ids[self.device[i]],
             channel=_CHANNEL_OF_ID[int(self.channel[i])],
-            rssi_dbm=None if rssi is None or math.isnan(rssi) else rssi,
+            rssi_dbm=None if math.isnan(rssi) else rssi,
             window_index=int(self.window_index[i]),
         )
 
@@ -715,7 +708,7 @@ def simulate_reception(
     it.  Caught beacons are taken in transmit order (ties keep event
     order); one latency is drawn per epoch, then one loss draw per caught
     beacon when loss is on.  The result is sorted by app timestamp, ties
-    in transmit order.
+    in transmit order, with no readings (``rssi_dbm`` all NaN).
     """
     restart_ns = np.array(_schedule_ns(restarts), np.int64)
     events = AdvertisingEvents.of(events)
@@ -761,6 +754,7 @@ def simulate_reception(
         device_ids=tuple([device_id for device_id, _ in events.sources]),
         channel=ids[src, k[hit]],
         window_index=np.searchsorted(bounds[:, 1], t[hit], side="right"),
+        rssi_dbm=np.full(len(hit), np.nan),
     )
 
 

@@ -26,11 +26,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blechannel import harness, simkit
-from blechannel.core import CHANNEL_FREQ_HZ, Channel
+from blechannel.core import APP_CLOCK, CHANNEL_FREQ_HZ, RADIO_CLOCK, Channel, TimeInstant
 from blechannel.detector import _LABELS, Labels
 from blechannel.errors import ConfigError, TraceOrderError, TraceParseError
 from blechannel.harness import (
@@ -52,7 +52,17 @@ from blechannel.harness import (
     trace_to_text,
 )
 from blechannel.ranging import CalibrationModel, RangingSample
-from blechannel.simkit import _ALL_CHANNELS, _CHANNEL_OF_ID, Packets, RssiModel, attach_rssi
+from blechannel.simkit import (
+    _ALL_CHANNELS,
+    _CHANNEL_OF_ID,
+    PacketRecord,
+    Packets,
+    RssiModel,
+    attach_rssi,
+    gen_advertising,
+    gen_scan_windows,
+    simulate_reception,
+)
 
 
 def reference_trace_to_text(trace):
@@ -78,10 +88,10 @@ def reference_trace_to_text(trace):
     channel_text = np.array([str(c) if c else "" for c in codes.tolist()], object)
     rssi = packets.rssi_dbm
     row = "%d,%s,%s,"
-    if rssi is not None and np.isnan(rssi).any():
+    if np.isnan(rssi).any():
         rssi = ["" if math.isnan(r) else format(r, ".6f") for r in rssi.tolist()]
         row += "%s"
-    elif rssi is not None:
+    else:
         rssi = rssi.tolist()
         row += "%.6f"
     row += "" if est is None else ",%s"
@@ -92,7 +102,9 @@ def reference_trace_to_text(trace):
             names[packets.device[i : i + 256]].tolist(),
             channel_text[channel_code[i : i + 256]].tolist(),
         ]
-        cells += [c[i : i + 256] for c in (rssi, est) if c is not None]
+        cells.append(rssi[i : i + 256])
+        if est is not None:
+            cells.append(est[i : i + 256])
         text.append(((row + "\n") * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
     return "".join(text)
 
@@ -228,14 +240,28 @@ def columns_of(packets):
     any NaN as None (no reading)."""
     cols = [getattr(packets, f) for f in ("recv_ns", "device", "channel", "window_index")]
     rssi = packets.rssi_dbm
-    if rssi is not None:
-        rssi = rssi.dtype.str, [None if math.isnan(r) else r.hex() for r in rssi.tolist()]
+    rssi = rssi.dtype.str, [None if math.isnan(r) else r.hex() for r in rssi.tolist()]
     return [(c.dtype.str, c.tolist()) for c in cols], packets.device_ids, packets.clock, rssi
 
 
-def readings(values):
-    """A float64 reading column of ``values``, None (no reading) as NaN."""
-    return None if values is None else np.array(values, np.float64)
+def readings(values, n):
+    """A float64 reading column of ``values``, None (no reading) as NaN; n NaN for None."""
+    return np.full(n, np.nan) if values is None else np.array(values, np.float64)
+
+
+DEVICES = ("d0", "d1", "d2")
+
+
+def cycling_packets(n, rssi=None):
+    """n packets, the three devices and the three channels in turn."""
+    return Packets(
+        recv_ns=np.arange(n, dtype=np.int64) * 1000,
+        device=np.arange(n, dtype=np.intp) % 3,
+        device_ids=DEVICES,
+        channel=37 + np.arange(n, dtype=np.int64) % 3,
+        window_index=np.full(n, -1, np.int64),
+        rssi_dbm=readings(rssi, n),
+    )
 
 
 def outcome(parse, text):
@@ -318,7 +344,7 @@ def hand_built_traces(draw):
         device_ids=tuple(names),
         channel=np.array(channel, np.int64),
         window_index=np.full(n, -1, np.int64),
-        rssi_dbm=readings(rssi),
+        rssi_dbm=readings(rssi, n),
     )
     restarts = draw(st.sampled_from([(0,), (-5, 0, 10**12)]))
     trace = TraceFile(4_096_000_000, 1_024_000_000, "compliant", 3, restarts, packets)
@@ -328,8 +354,15 @@ def hand_built_traces(draw):
 BLOCKS = st.sampled_from([1, 2, 3, 5, harness._TEXT_BLOCK, harness._TEXT_BLOCK + 1])
 
 
+def nan_blocks_trace():
+    """Readings whose blocks of two are all NaN, partly NaN and free of NaN."""
+    packets = cycling_packets(6, [None, None, -40.5, None, 12.25, -0.0])
+    return TraceFile(4_096_000_000, 1_024_000_000, "compliant", 3, packets=packets)
+
+
 @settings(max_examples=60, deadline=None)
 @given(trace=st.one_of(simulated_traces(), hand_built_traces()), block=BLOCKS)
+@example(trace=nan_blocks_trace(), block=2)
 def test_writer_matches_the_format_writer(trace, block):
     with mock.patch.object(harness, "_WRITE_BLOCK", block):
         assert trace_to_text(trace) == reference_trace_to_text(trace)
@@ -378,7 +411,7 @@ def edge_traces(draw):
         device_ids=tuple(names),
         channel=np.array(column(st.sampled_from([0, 37, 38, 39])), np.int64),
         window_index=np.full(n, -1, np.int64),
-        rssi_dbm=readings(column(EDGE_READINGS)) if draw(st.booleans()) else None,
+        rssi_dbm=readings(column(EDGE_READINGS) if draw(st.booleans()) else None, n),
     )
     form = draw(LABEL_FORMS)
     labels = form(column(st.sampled_from(sorted(EST_LABELS)))) if draw(st.booleans()) else None
@@ -487,21 +520,6 @@ def test_parser_matches_the_row_parser(trace, edits, block):
     text = "\n".join(lines[:head] + body) + "\n"
     with mock.patch.object(harness, "_TEXT_BLOCK", block):
         assert outcome(trace_from_text, text) == outcome(reference_trace_from_text, text)
-
-
-DEVICES = ("d0", "d1", "d2")
-
-
-def cycling_packets(n, rssi=None):
-    """n packets, the three devices and the three channels in turn."""
-    return Packets(
-        recv_ns=np.arange(n, dtype=np.int64) * 1000,
-        device=np.arange(n, dtype=np.intp) % 3,
-        device_ids=DEVICES,
-        channel=37 + np.arange(n, dtype=np.int64) % 3,
-        window_index=np.full(n, -1, np.int64),
-        rssi_dbm=readings(rssi),
-    )
 
 
 @pytest.mark.parametrize(
@@ -631,6 +649,69 @@ def test_a_nan_reading_is_written_as_an_empty_cell():
     assert columns_of(Packets.of(list(back))) == columns_of(back)
 
 
+def test_every_producer_gives_one_reading_column():
+    """A float64 ``rssi_dbm`` as long as the packets, NaN for no reading, from each producer."""
+    cfg = ExperimentConfig(duration_s=30.0)
+    bare = simulate_scenario(cfg, 7)
+    parts = cfg.scenario()
+    restarts = [TimeInstant(0, RADIO_CLOCK)]
+    end = TimeInstant(parts.duration.ns, RADIO_CLOCK)
+    windows = gen_scan_windows(parts.behavior, parts.scan, restarts, end, random.Random(1))
+    events = gen_advertising(parts.adv, "d0", restarts[0], end, random.Random(2))
+    received = simulate_reception(
+        events, windows, restarts, parts.clock, parts.loss, random.Random(3)
+    )
+    records = [PacketRecord(TimeInstant(5, APP_CLOCK), "d0", Channel.of(37)),
+               PacketRecord(TimeInstant(7, APP_CLOCK), "d1", None, rssi_dbm=-40.5)]
+    packets = {
+        "simulate_reception": received,
+        "simulate_scenario": bare.packets,
+        "simulate_scenario with RSSI": simulate_scenario(cfg, 7, with_rssi=True).packets,
+        "attach_rssi": attach_rssi(received, RssiModel(), {"d0": 2.0}, random.Random(4)),
+        "trace_from_text": trace_from_text(trace_to_text(bare)).packets,
+        "Packets.of": Packets.of(records),
+    }
+    for name, p in packets.items():
+        assert len(p) > 0, name
+        assert p.rssi_dbm.dtype == np.float64 and p.rssi_dbm.shape == (len(p),), name
+    for name in ("simulate_reception", "simulate_scenario", "trace_from_text"):
+        assert np.isnan(packets[name].rssi_dbm).all(), name
+    for name in ("simulate_scenario with RSSI", "attach_rssi"):
+        assert not np.isnan(packets[name].rssi_dbm).any(), name
+    assert [p.rssi_dbm for p in packets["Packets.of"]] == [None, -40.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=st.builds(
+        ExperimentConfig,
+        behavior=st.sampled_from(MATRIX_BEHAVIORS),
+        duration_s=st.floats(1.0, 40.0),
+        restart_every_s=st.sampled_from([0.0, 3.0, 7.5]),
+        drift_rate=st.floats(-2e-3, 2e-3),
+        jitter_max_s=st.sampled_from([0.0, 0.003, 0.05]),
+        shadow_sigma_db=st.sampled_from([0.0, 2.0]),
+    ),
+    seed=st.integers(0, 2**32),
+    with_rssi=st.booleans(),
+)
+def test_a_simulated_capture_reads_back_as_written(cfg, seed, with_rssi):
+    trace = simulate_scenario(cfg, seed, with_rssi=with_rssi)
+    back = trace_from_text(trace_to_text(trace))
+    meta = ("scan_interval_ns", "scan_window_ns", "behavior_tag", "seed", "restarts_ns")
+    assert [getattr(back, f) for f in meta] == [getattr(trace, f) for f in meta]
+    was, got = trace.packets, back.packets
+    assert got.recv_ns.tolist() == was.recv_ns.tolist()
+    assert got.channel.tolist() == was.channel.tolist()
+    names = np.array(was.device_ids)[was.device].tolist()
+    assert np.array(got.device_ids)[got.device].tolist() == names
+    blank = np.isnan(was.rssi_dbm)
+    assert np.isnan(got.rssi_dbm).tolist() == blank.tolist()
+    assert not blank.any() if with_rssi else blank.all()
+    written = [float(format(x, ".6f")) for x in was.rssi_dbm[~blank].tolist()]
+    assert got.rssi_dbm[~blank].tolist() == written
+
+
 @pytest.mark.parametrize("with_rssi", [False, True])
 def test_written_traces_are_read_a_block_at_a_time(with_rssi):
     # long enough for two full blocks and a short one
@@ -662,6 +743,7 @@ def rssi_cases(draw):
         device_ids=DEVICES,
         channel=np.array(channel, np.int64),
         window_index=np.full(n, -1, np.int64),
+        rssi_dbm=np.full(n, np.nan),
     )
     model = RssiModel(
         tx_power_dbm=draw(st.floats(-20, 10)),
@@ -728,6 +810,7 @@ def test_missing_distance_is_refused_before_any_draw():
         device_ids=DEVICES,
         channel=np.full(4, 37, np.int64),
         window_index=np.full(4, -1, np.int64),
+        rssi_dbm=np.full(4, np.nan),
     )
     model = RssiModel(shadow_sigma_db=2.0)
     bulk, loop = random.Random(5), random.Random(5)
@@ -747,6 +830,7 @@ def test_distance_that_is_not_finite_and_positive_is_refused_before_any_draw(dis
         device_ids=("a", "b"),
         channel=np.array([37, 38, 39], np.int64),
         window_index=np.full(3, -1, np.int64),
+        rssi_dbm=np.full(3, np.nan),
     )
     rng = random.Random(5)
     with pytest.raises(ConfigError, match="^distance of device 'b' must be finite and positive$"):
@@ -762,6 +846,7 @@ def test_packet_without_a_channel_is_refused_before_any_draw():
         device_ids=("d0",),
         channel=np.zeros(1, np.int64),
         window_index=np.full(1, -1, np.int64),
+        rssi_dbm=np.full(1, np.nan),
     )
     parsed = trace_from_text(HEADER + "5,d1,38,\n7,d2,,\n").packets
     model = RssiModel(shadow_sigma_db=2.0)

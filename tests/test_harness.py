@@ -121,7 +121,7 @@ def test_trace_to_text_validates_labels_and_ids():
         ({"scan_interval_ns": 0}, "need 0 < ds_ns <= ts_ns"),
         ({"scan_window_ns": 4_096_000_001}, "need 0 < ds_ns <= ts_ns"),
         ({"behavior_tag": "a b"}, "bad metadata token 'b'"),
-        ({"behavior_tag": "a seed=3"}, "would not read back"),
+        ({"behavior_tag": "a seed=3"}, "repeated metadata key 'seed'"),
     ],
 )
 def test_trace_headers_the_reader_refuses_are_not_written(tmp_path, change, message):
@@ -196,6 +196,46 @@ def test_trace_from_text_rejects_bad_restart_lists():
         trace_from_text(base + "# restarts_ns=5,5\n" + cols)
     with pytest.raises(TraceParseError):
         trace_from_text(base + "# restarts_ns=5,abc\n" + cols)
+
+
+META = "# ts_ns=4096000000 ds_ns=4096000000 behavior=compliant seed=1"
+
+
+@pytest.mark.parametrize(
+    "header, line, key",
+    [
+        (META + " ts_ns=5000000000", 2, "ts_ns"),
+        (META + " seed=2", 2, "seed"),
+        (META + "\n# ts_ns=1", 3, "ts_ns"),
+        (META + " restarts_ns=0,5", None, None),
+        (META + "\n# restarts_ns=0,5\n\n# restarts_ns=0,7", 5, "restarts_ns"),
+    ],
+)
+def test_each_metadata_key_stands_once_in_the_header(header, line, key):
+    """One rule for every ``#`` line before the column header, the metadata line included."""
+    text = f"# blechannel-trace v1\n{header}\n{GOOD_HEADER.splitlines()[2]}\n"
+    if key is None:
+        trace = trace_from_text(text)
+        assert (trace.scan_interval_ns, trace.seed, trace.restarts_ns) == (4_096_000_000, 1, (0, 5))
+        return
+    with pytest.raises(TraceParseError) as exc:
+        trace_from_text(text)
+    assert str(exc.value) == f"line {line}: repeated metadata key {key!r}"
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "header, line, message",
+    [
+        ("# ds_ns=10 behavior=x seed=1\n# ts_ns=abc", 3, "bad metadata: invalid literal"),
+        ("# ds_ns=10 behavior=x seed=1\n\n# ts_ns=5", 4, "need 0 < ds_ns <= ts_ns"),
+        ("# ts_ns=5 behavior=x seed=1\n# ds_ns=10", 3, "need 0 < ds_ns <= ts_ns"),
+    ],
+)
+def test_a_bad_metadata_value_names_the_line_of_its_key(header, line, message):
+    text = f"# blechannel-trace v1\n{header}\n{GOOD_HEADER.splitlines()[2]}\n"
+    with pytest.raises(TraceParseError, match=f"^line {line}: {message}"):
+        trace_from_text(text)
 
 
 def test_build_accuracy_curve_hand_counts():

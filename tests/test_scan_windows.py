@@ -256,9 +256,7 @@ def test_reception_reads_a_view_as_its_window_list(tag, seed):
 def test_of_takes_windows_and_views_in_order():
     ch = {c.id: c for c in _ALL_CHANNELS}
     one = ScanWindow(TimeInstant(0, RADIO_CLOCK), TimeInstant(5, RADIO_CLOCK), ch[38])
-    two = ScanWindows.of(
-        [ScanWindow(TimeInstant(5, RADIO_CLOCK), TimeInstant(9, RADIO_CLOCK), ch[39])]
-    )
+    two = ScanWindow(TimeInstant(5, RADIO_CLOCK), TimeInstant(9, RADIO_CLOCK), ch[39])
     both = ScanWindows.of([one, two])
     assert rows(both) == [(0, 5, 38), (5, 9, 39)]
     assert ScanWindows.of(both) is both
