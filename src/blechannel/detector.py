@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Channel, ColumnView, Duration, ScanSettings, TimeInstant
+from .core import APP_CLOCK, Channel, ColumnView, Duration, ScanSettings, TimeInstant
 from .errors import ClockMismatchError, ConfigError
 from .simkit import Packets
 
@@ -107,6 +107,31 @@ class Labels(ColumnView):
 
     def _item(self, i: int) -> str:
         return _LABELS[self.code[i]]
+
+
+@dataclass(frozen=True, eq=False)
+class Instants(ColumnView):
+    """Instants on one clock as an int64 ns column; items are :class:`TimeInstant`."""
+
+    ns: np.ndarray
+    clock: str = APP_CLOCK
+
+    def __len__(self) -> int:
+        return len(self.ns)
+
+    def _item(self, i: int) -> TimeInstant:
+        return TimeInstant(int(self.ns[i]), self.clock)
+
+    @classmethod
+    def of(cls, instants) -> "Instants":
+        """Columns of any instants, read once; a view is returned as it is."""
+        if isinstance(instants, cls):
+            return instants
+        instants = tuple(instants)
+        clocks = {t.clock for t in instants} or {APP_CLOCK}
+        if len(clocks) > 1:
+            raise ClockMismatchError("instants of one column must share a clock")
+        return cls(np.array([t.ns for t in instants], np.int64), clocks.pop())
 
 
 def _slot_rule(delta, interval, guard):
@@ -293,14 +318,14 @@ def classify_trace(packets, restarts, config: DetectorConfig) -> ClassifiedPacke
     clock as the packet timestamps.  Each packet is classified against the
     latest restart at or before it; packets older than every restart come
     back as pre-start.  ``packets`` is a :class:`Packets` view or any
-    packet records, in any order; no packets means no clock to mix.
+    packet records, in any order, and ``restarts`` an :class:`Instants`
+    view or any instants; no packets means no clock to mix.
     """
-    restarts = tuple(restarts)
+    restarts = Instants.of(restarts)
     packets = Packets.of(packets)
-    clocks = {packets.clock} if len(packets) else set()
-    if len(clocks | {r.clock for r in restarts}) > 1:
+    if len({p.clock for p in (packets, restarts) if len(p)}) > 1:
         raise ClockMismatchError("packets and restarts must share one clock")
-    starts = np.sort(np.array([r.ns for r in restarts], dtype=np.int64))
+    starts = np.sort(restarts.ns)
     interval = config.scan_settings.scan_interval.ns
     kind, slot, rem, anchor = classify_ns(packets.recv_ns, starts, interval, config.guard.ns)
-    return ClassifiedPackets(packets, starts, restarts[0].clock, interval, kind, slot, rem, anchor)
+    return ClassifiedPackets(packets, starts, restarts.clock, interval, kind, slot, rem, anchor)

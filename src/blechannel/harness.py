@@ -36,7 +36,7 @@ from .core import (
     TimeInstant,
     preset_settings,
 )
-from .detector import _LABELS, DetectorConfig, Labels, classify_trace
+from .detector import _LABELS, DetectorConfig, Instants, Labels, classify_trace
 from .errors import ConfigError, NoDataError, TraceOrderError, TraceParseError
 from .ranging import EstimatorComparison, RangingSample, compare_estimators
 from .simkit import (
@@ -94,8 +94,8 @@ class TraceFile:
         )
 
     @property
-    def restarts(self) -> tuple[TimeInstant, ...]:
-        return tuple([TimeInstant(ns, APP_CLOCK) for ns in self.restarts_ns])
+    def restarts(self) -> Instants:
+        return Instants(np.array(self.restarts_ns, np.int64), APP_CLOCK)
 
 
 # Rows that trace_from_text converts at a time.  A block costs a few numpy
@@ -416,12 +416,15 @@ def _table_codes(b: bytes, first: np.ndarray, width: np.ndarray, table: np.ndarr
     return np.where(hit, code, -1)
 
 
-def _trace_block(block: list[str], lineno: int, has_est: bool, device_ids: dict, prev):
-    """The columns of ``block``, stripped non-blank trace rows from file line
-    ``lineno`` on, after a row at time ``prev`` (None at the first row).
+def _trace_block(b: bytes, n: int, lineno: int, has_est: bool, device_ids: dict, prev):
+    """The columns of the ``n`` trace rows in ``b``, from file line ``lineno``
+    on, after a row at time ``prev`` (None at the first row).
 
-    The block is read from its UTF-8 bytes.  A cell whose value is certain
-    from them (a plain integer time, a reading with six decimals, a channel
+    ``b`` holds ``_PAD`` NULs and a newline, the rows' UTF-8 bytes with a
+    newline after each, then ``_PAD`` NULs, so every gather stays inside
+    it; the rows are stripped and non-blank, as ``trace_from_text`` slices
+    them from a body.  A cell whose value is certain from its bytes
+    (a plain integer time, a reading with six decimals, a channel
     or label cell as the writer writes it, a short device id) is converted
     a column at a time with numpy; every other cell goes through ``int``,
     ``float`` or ``_channel_cell`` on its own, so whatever they accept
@@ -431,13 +434,10 @@ def _trace_block(block: list[str], lineno: int, has_est: bool, device_ids: dict,
     some row is bad.
     """
     n_fields = 5 if has_est else 4
-    # NUL padding keeps every gather inside the buffer; a row's cells
-    # start after the newline that ends the padding or the row before
-    pad = "\0" * _PAD
-    b = "\n".join([pad, *block, pad]).encode("utf-8", "surrogatepass")
+    # a row's cells start after the newline that ends the padding or the row before
     u8 = np.frombuffer(b, np.uint8)
     seps = np.flatnonzero((u8 == _COMMA) | (u8 == _NEWLINE))
-    if len(seps) != len(block) * n_fields + 1 or (u8[seps[n_fields::n_fields]] != _NEWLINE).any():
+    if len(seps) != n * n_fields + 1 or (u8[seps[n_fields::n_fields]] != _NEWLINE).any():
         raise TraceParseError(f"expected {n_fields} fields", line=lineno)
     # a row of starts and widths per column
     firsts = (seps[:-1] + 1).reshape(-1, n_fields).T.copy()
@@ -465,8 +465,8 @@ def _trace_block(block: list[str], lineno: int, has_est: bool, device_ids: dict,
 
     if widths[1].max() <= 8 and b.find(b"\0", _PAD, len(b) - _PAD) < 0:
         keys, index = np.unique(_keys(b, firsts[1], widths[1], 1)[:, 0], return_inverse=True)
-        seen = np.full(len(keys), len(block))
-        np.minimum.at(seen, index, np.arange(len(block)))  # the first row of each key
+        seen = np.full(len(keys), n)
+        np.minimum.at(seen, index, np.arange(n))  # the first row of each key
         by_first = np.argsort(seen)
         names = cells(1, seen[by_first])
         index = np.argsort(by_first)[index]
@@ -567,35 +567,79 @@ def _trace_header(lines: list[str]):
     return meta, restarts, has_est, i
 
 
+def _trace_head(text: str) -> tuple[list[str], int]:
+    """The lines of ``text``, breaks kept, up to and including the first one
+    past line 1 that is neither ``#`` nor blank (every line if none is), and
+    the offset after them.  Prefixes of doubling length are split until one
+    holds that line whole: every line of a prefix but its last is."""
+    n = 1 << 10
+    while True:
+        lines = text[:n].splitlines(keepends=True)[: -1 if n < len(text) else None]
+        stop = next((k + 1 for k, ln in enumerate(lines) if k and ln.strip() and ln[0] != "#"), None)
+        if stop or n >= len(text):
+            return lines[:stop], sum(map(len, lines[:stop]))
+        n *= 2
+
+
+def _stripped_rows(body: str, lineno: int) -> tuple[bytes, Sequence[int]]:
+    """The lines of ``body``, from file line ``lineno`` on, stripped and the
+    blank ones dropped, as UTF-8 bytes with a newline after each; and each
+    row's file line."""
+    lines = body.splitlines()
+    rows = list(filter(None, map(str.strip, lines)))
+    linenos = range(lineno, lineno + len(lines))
+    if len(rows) < len(lines):
+        linenos = [n for n, line in zip(linenos, lines) if line.strip()]
+    if rows:
+        rows.append("")  # so that the last row ends with a newline too
+    return "\n".join(rows).encode("utf-8", "surrogatepass"), linenos
+
+
 def trace_from_text(text: str) -> TraceFile:
-    lines = text.splitlines()
-    (scan_interval_ns, scan_window_ns, behavior, seed), restarts, has_est, i = _trace_header(lines)
-    # Padding stripped and blank lines dropped once, each row keeping its
-    # 1-based file line; then _TEXT_BLOCK rows at a time.  A block that fails
-    # is halved until one row raises, so the error names the first bad line.
-    body = lines[i + 1 :]
-    rows = list(filter(None, map(str.strip, body)))
-    linenos = range(i + 2, len(lines) + 1)
-    if len(rows) < len(body):
-        linenos = [n for n, line in zip(linenos, body) if line.strip()]
+    """A trace from its CSV text: the header from its leading lines, the body
+    from its UTF-8 bytes, ``_TEXT_BLOCK`` rows at a time.  A body whose bytes
+    are all printable ASCII or newlines, no line empty (as the writer
+    writes it), is read as it is; any other is first normalized by
+    ``_stripped_rows``.  A block that fails is halved until one row raises,
+    so the error names the first bad line."""
+    head, start = _trace_head(text)
+    (scan_interval_ns, scan_window_ns, behavior, seed), restarts, has_est, i = _trace_header(head)
+    body_text = text[start:]
+    body = body_text.encode("utf-8", "surrogatepass")
+    u8 = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(u8 - np.uint8(0x21) > 0x7E - 0x21)  # every byte but printable ASCII
+    if (u8[ends] == _NEWLINE).all() and (np.diff(ends, prepend=-1) > 1).all():
+        if body and body[-1] != _NEWLINE:  # a last row without its newline
+            body += b"\n"
+            ends = np.append(ends, len(body) - 1)
+        linenos = range(i + 2, i + 2 + len(ends))
+    else:
+        body, linenos = _stripped_rows(body_text, i + 2)
+        ends = np.flatnonzero(np.frombuffer(body, np.uint8) == _NEWLINE)
+    view, pad = memoryview(body), bytes(_PAD)
+
+    def block(start, stop, prev):  # rows start .. stop - 1 after a row at time prev
+        first = int(ends[start - 1]) + 1 if start else 0
+        rows = b"".join([pad, b"\n", view[first : int(ends[stop - 1]) + 1], pad])
+        return _trace_block(rows, stop - start, linenos[start], has_est, device_ids, prev)
+
     empty = np.zeros(0, np.intp)
     blocks = [(np.zeros(0, np.int64), empty, np.zeros(0, np.int64), np.zeros(0), empty)]
     device_ids: dict[str, int] = {}
     prev = None
-    for start in range(0, len(rows), _TEXT_BLOCK):
-        stop = min(start + _TEXT_BLOCK, len(rows))
+    for start in range(0, len(ends), _TEXT_BLOCK):
+        stop = min(start + _TEXT_BLOCK, len(ends))
         try:
-            blocks.append(_trace_block(rows[start:stop], linenos[start], has_est, device_ids, prev))
+            blocks.append(block(start, stop, prev))
         except (TraceParseError, TraceOrderError):
-            # rows[start:stop] fail after prev, so one of their halves does
+            # rows start .. stop - 1 fail after prev, so one of their halves does
             while stop - start > 1:
                 mid = (start + stop) // 2
                 try:
-                    half = _trace_block(rows[start:mid], linenos[start], has_est, device_ids, prev)
-                    start, prev = mid, half[0][-1]
+                    start, prev = mid, block(start, mid, prev)[0][-1]
                 except (TraceParseError, TraceOrderError):
                     stop = mid
-            _trace_block(rows[start:stop], linenos[start], has_est, device_ids, prev)
+            block(start, stop, prev)
             raise
         prev = blocks[-1][0][-1]
     recv, device, channel, rssi, est = zip(*blocks)

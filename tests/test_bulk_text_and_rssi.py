@@ -16,8 +16,10 @@ between every few rows.
 
 import dataclasses
 import math
+import os
 import random
 import string
+import tempfile
 import timeit
 import tracemalloc
 from dataclasses import replace
@@ -47,6 +49,7 @@ from blechannel.harness import (
     _csv_rows,
     _parse_meta_tokens,
     gen_ranging_samples,
+    read_trace,
     simulate_scenario,
     trace_from_text,
     trace_to_text,
@@ -461,12 +464,19 @@ BAD_CELLS = [
 ]
 
 
+# Characters that str.splitlines breaks a line at besides "\n" ("\r" before
+# "\n" makes one CRLF break with it).
+BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
 @st.composite
 def mutations(draw):
     """(row, how, arg) edits of a trace body."""
-    how = draw(st.sampled_from(["blank", "spaces", "pad", "fields", "cell", "time"]))
+    how = draw(st.sampled_from(["blank", "spaces", "pad", "fields", "cell", "time", "break"]))
     arg = None
-    if how == "fields":
+    if how == "break":
+        arg = draw(st.sampled_from(BREAKS)), draw(st.sampled_from(["inside", "between", "end"]))
+    elif how == "fields":
         arg = draw(st.sampled_from([-1, 1]))
     elif how == "cell":
         col = draw(st.integers(0, 4))
@@ -486,7 +496,13 @@ def mutate(body, row, how, arg):
         return body
     i = row % len(body)
     line = body[i]
-    if how == "pad":
+    if how == "break":  # at the end of a row, "\r" gives the row a CRLF
+        char, where = arg
+        if where == "between" and i + 1 < len(body):
+            return body[:i] + [line + char + body[i + 1]] + body[i + 2 :]
+        at = row % (len(line) + 1) if where == "inside" else len(line)
+        line = line[:at] + char + line[at:]
+    elif how == "pad":
         line = (" " + line) if row % 2 else (line + "\t")
     elif how == "fields":
         line = line.rsplit(",", 1)[0] if arg < 0 else line + ",x"
@@ -505,21 +521,58 @@ def mutate(body, row, how, arg):
     return body[:i] + [line] + body[i + 1 :]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    trace=st.one_of(simulated_traces(), hand_built_traces()),
-    edits=st.lists(mutations(), max_size=3),
-    block=BLOCKS,
-)
-def test_parser_matches_the_row_parser(trace, edits, block):
+@st.composite
+def edited_texts(draw):
+    """A written trace with up to three edits of its body, its lines ended
+    by LF, CRLF or CR."""
+    trace = draw(st.one_of(simulated_traces(), hand_built_traces()))
     lines = reference_trace_to_text(trace).splitlines()
     head = lines.index(next(ln for ln in lines if ln.startswith("recv_time_ns"))) + 1
     body = lines[head:]
-    for edit in edits:
+    for edit in draw(st.lists(mutations(), max_size=3)):
         body = mutate(body, *edit)
-    text = "\n".join(lines[:head] + body) + "\n"
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return newline.join(lines[:head] + body) + newline
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edited_texts(), block=BLOCKS)
+def test_parser_matches_the_row_parser(text, block):
     with mock.patch.object(harness, "_TEXT_BLOCK", block):
         assert outcome(trace_from_text, text) == outcome(reference_trace_from_text, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=edited_texts())
+def test_a_file_reads_as_its_text(text):
+    """read_trace opens with universal newlines, which turn CR and CRLF into
+    LF; both are line breaks to the parser, so nothing read changes."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate cannot be in a UTF-8 file
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        with open(path, "wb") as f:
+            f.write(data)
+        assert outcome(read_trace, path) == outcome(trace_from_text, text)
+
+
+def test_header_lines_are_read_whole_at_any_length():
+    """Header lines that end anywhere, CRLF ones split between their two
+    characters included, as the header is read from prefixes of the text."""
+    packets = cycling_packets(4, [-50.5, None, -61.25, 0.0])
+    text = reference_trace_to_text(TraceFile(10, 10, "compliant", 0, packets=packets))
+    lines = text.splitlines()
+    want = outcome(reference_trace_from_text, text)
+    assert want[2][0][0][1] == [0, 1000, 2000, 3000]
+    for newline, step in (("\r\n", 1), ("\n", 5)):
+        for filler in range(0, 2100, step):
+            comments = ["# a=" + "x" * filler, "", "# b=" + "y" * (filler % 97)]
+            edited = newline.join(lines[:2] + comments + lines[2:]) + newline
+            assert outcome(trace_from_text, edited) == want
+            no_columns = newline.join(lines[:2] + comments) + newline
+            assert outcome(trace_from_text, no_columns)[1:] == ("line 6: missing column header", 6)
 
 
 @pytest.mark.parametrize(
@@ -726,9 +779,28 @@ def test_written_traces_are_read_a_block_at_a_time(with_rssi):
         for body in (lines, lines[:9] + [""] + lines[9:]):
             with mock.patch.object(harness, "_trace_block", wraps=harness._trace_block) as spy:
                 outcomes.append(outcome(trace_from_text, "\n".join(body)))
-            assert [len(call.args[0]) for call in spy.call_args_list] == sizes
+            assert [call.args[1] for call in spy.call_args_list] == sizes
         assert outcomes[0] == outcomes[1]
         assert isinstance(outcomes[0][0], dict)
+
+
+def test_a_written_body_is_read_from_its_bytes():
+    """Each block is a slice of the encoded body between NUL padding; no
+    str row is made on the way, unless the body needs normalizing."""
+    trace = simulate_scenario(ExperimentConfig(duration_s=300.0), 4, with_rssi=True)
+    text = trace_to_text(trace)
+    body = text.encode()[text.index("\n", text.index(TRACE_COLUMNS)) + 1 :]
+    pad = bytes(harness._PAD)
+    for edited, normalized in ((text, False), (text.replace("\n", "\r\n"), True)):
+        with mock.patch.object(harness, "_trace_block", wraps=harness._trace_block) as spy, \
+                mock.patch.object(harness, "_stripped_rows", wraps=harness._stripped_rows) as rows:
+            back = trace_from_text(edited)
+        assert rows.called == normalized
+        blocks = [call.args[0] for call in spy.call_args_list]
+        assert len(blocks) == 3 and all(type(b) is bytes for b in blocks)
+        assert all(b.startswith(pad + b"\n") and b.endswith(b"\n" + pad) for b in blocks)
+        assert b"".join(b[len(pad) + 1 : -len(pad)] for b in blocks) == body
+        assert columns_of(back.packets) == columns_of(trace_from_text(text).packets)
 
 
 @st.composite

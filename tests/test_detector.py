@@ -104,6 +104,7 @@ def test_classify_rejects_mixed_clocks():
         (Packets.of([radio]), [ANCHOR]),
         ([app, radio], [ANCHOR]),
         ([app], [ANCHOR, radio_instant(3.0)]),
+        ([], [ANCHOR, radio_instant(3.0)]),  # restarts on two clocks mix without packets too
     ]:
         with pytest.raises(ClockMismatchError):
             classify_trace(packets, restarts, CONFIG)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from blechannel import harness
 from blechannel.core import APP_CLOCK, Channel, Duration, TimeInstant
+from blechannel.detector import Instants, classify_trace
 from blechannel.errors import ConfigError, NoDataError, TraceOrderError, TraceParseError
 from blechannel.harness import (
     EST_LABELS,
@@ -430,6 +431,24 @@ def test_simulate_scenario_is_deterministic_per_seed():
     assert a.packets != c.packets
     assert len(a.packets) > 0
     assert a.restarts == (TimeInstant(0, APP_CLOCK),)
+
+
+def test_restarts_are_a_column_that_classifies_as_their_instants():
+    cfg = ExperimentConfig(duration_s=600.0)
+    restarts_ns = tuple(range(1_234_567, 600 * 10**9, 6_000_000))
+    trace = dataclasses.replace(simulate_scenario(cfg, 7), restarts_ns=restarts_ns)
+    view = trace.restarts
+    assert isinstance(view, Instants) and len(view) == 100_000
+    assert view.ns.dtype == np.int64 and view.ns.tolist() == list(restarts_ns)
+    instants = tuple(view)
+    assert instants == tuple(TimeInstant(ns, APP_CLOCK) for ns in restarts_ns)
+    dconf = cfg.scenario().detector
+    a = classify_trace(trace.packets, view, dconf)
+    b = classify_trace(trace.packets, instants, dconf)
+    assert a.clock == b.clock == APP_CLOCK
+    for col in ("restart_ns", "kind", "slot", "rem", "anchor"):
+        x, y = getattr(a, col), getattr(b, col)
+        assert x.dtype == y.dtype and np.array_equal(x, y), col
 
 
 def test_simulate_scenario_restart_schedule_and_rssi():
