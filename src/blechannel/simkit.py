@@ -701,60 +701,69 @@ def simulate_reception(
     ``events`` is an :class:`AdvertisingEvents` view or any sequence of
     :class:`AdvertisingEvent`, ``windows`` a :class:`ScanWindows` view or
     any sequence of :class:`ScanWindow`.  A beacon is received iff some window covers
-    its transmit instant on the matching channel.  Windows must not
-    overlap (ConfigError otherwise).  One channel slot of all events is
-    matched at a time, by binary search over the bounds of the windows on
-    that slot's channel; a packet's window is the first that ends after
-    it.  Caught beacons are taken in transmit order (ties keep event
-    order); one latency is drawn per epoch, then one loss draw per caught
-    beacon when loss is on.  The result is sorted by app timestamp, ties
-    in transmit order, with no readings (``rssi_dbm`` all NaN).
+    its transmit instant on the matching channel; each window's bounds are
+    searched among the sorted event starts, and it gives its catches their
+    ``window_index``.  Windows must not overlap, nor beacons pass the int64
+    ns range (ConfigError otherwise).  Caught beacons are taken in transmit
+    order (ties keep event order); one latency is drawn per epoch, then one
+    loss draw per caught beacon when loss is on.  The result is sorted by
+    app timestamp, ties in transmit order, with no readings (all NaN).
     """
     restart_ns = np.array(_schedule_ns(restarts), np.int64)
     events = AdvertisingEvents.of(events)
     windows = ScanWindows.of(windows)
     order = np.argsort(windows.start_ns, kind="stable")
-    bounds = np.stack([windows.start_ns[order], windows.end_ns[order]], 1)
-    if np.any(np.diff(bounds.ravel()) < 0):
+    w_start, w_end = windows.start_ns[order], windows.end_ns[order]
+    if np.any(w_end < w_start) or np.any(w_start[1:] < w_end[:-1]):
         raise ConfigError("scan windows must not overlap")
-    w_channel = windows.channel[order]
-    width = max((len(chs) for _, chs in events.sources), default=0)
-    ids = np.zeros((len(events.sources), width), np.int64)  # 0 pads a short list
-    for s, (_, chs) in enumerate(events.sources):
-        ids[s, : len(chs)] = [c.id for c in chs]
-    # Slot k goes out at start + k * gap: inside one of its channel's disjoint
-    # half-open windows iff an odd number of their bounds are at or before it.
-    caught = np.empty((len(events), width), bool)
-    for k in range(width):
-        t = events.start_ns + k * INTER_BEACON_GAP.ns
-        for c in np.unique(ids[:, k]).tolist():
-            edges = bounds[w_channel == c].ravel()
-            mine = slice(None) if (ids[:, k] == c).all() else (ids[:, k] == c)[events.source]
-            caught[mine, k] = np.searchsorted(edges, t[mine], side="right") & 1
-    flat = np.flatnonzero(caught)
-    ev = flat // max(width, 1)
-    k = flat - ev * width  # np.divmod is several times slower
-    t = events.start_ns[ev] + k * INTER_BEACON_GAP.ns
-    # A stable sort of the caught beacons orders them as a stable sort of
-    # every beacon would, so the draws below see the same sequence.
-    hit = np.argsort(t, kind="stable")
+    w_channel, gap = windows.channel[order], INTER_BEACON_GAP.ns
+    lists = [[c.id for c in chs] for _, chs in events.sources]
+    groups = {(k, c) for chs in lists for k, c in enumerate(chs)}
+    by_start = np.argsort(events.start_ns, kind="stable")
+    starts = events.start_ns[by_start]
+    # A window [s, e) on channel c catches the events that send c in slot k
+    # and start in [s, e) - k * gap, clamped at the int64 bottom: a run of
+    # their sorted starts, at an offset ``first`` in ``pool``.
+    pool, runs = [by_start], [np.zeros((4, 0), np.int64)]
+    for k, c in sorted(groups):
+        mine = np.array([chs[k : k + 1] == [c] for chs in lists])
+        first = 0 if mine.all() else sum(map(len, pool))
+        if first:
+            pool.append(by_start[mine[events.source[by_start]]])
+        at = events.start_ns[pool[-1]] if first else starts
+        if len(at) and at[-1] > _INT64_MAX - k * gap:
+            raise ConfigError("advertising beacons must stay within the int64 ns range")
+        w, floor = np.flatnonzero(w_channel == c), _INT64_MIN + k * gap
+        lo, hi = (np.searchsorted(at, np.maximum(b[w], floor) - k * gap) for b in (w_start, w_end))
+        runs.append(np.stack([w, lo + first, hi - lo, np.full(len(w), k * gap)]))
+    runs = np.concatenate(runs, axis=1)
+    w, first, n, shift = runs[:, np.argsort(runs[0], kind="stable")]
+    pool = pool[0] if len(pool) == 1 else np.concatenate(pool)
+    ev = pool[np.arange(n.sum()) + np.repeat(first - np.cumsum(n) + n, n)]
+    t, win = events.start_ns[ev] + np.repeat(shift, n), np.repeat(w, n)
+    # With each channel in one slot a window catches one slot, so the runs,
+    # in window order, are in transmit order, ties in event order.
+    if len({c for _, c in groups}) < len(groups):
+        hit = np.lexsort((ev, t))
+        ev, t, win = ev[hit], t[hit], win[hit]
     # One latency draw per epoch, before any loss draws, keeps the stream
     # layout stable when loss settings change.
     jitters = np.array([clock.draw_jitter(rng).ns for _ in restart_ns], np.int64)
     if loss.drop_prob > 0.0:
-        hit = hit[~np.array([loss.drops(rng) for _ in hit], bool)]
-    epoch = np.searchsorted(restart_ns, t[hit], side="right") - 1
-    app_ns = clock.to_app_ns(t[hit]) + jitters[epoch]
+        kept = ~np.array([loss.drops(rng) for _ in range(len(t))], bool)
+        ev, t, win = ev[kept], t[kept], win[kept]
+    # Each epoch's run of beacons takes its latency; any before the first, the last one's.
+    cuts = np.concatenate(([0], np.searchsorted(t, restart_ns), [len(t)]))
+    app_ns = clock.to_app_ns(t) + np.repeat(jitters[np.arange(-1, len(jitters))], np.diff(cuts))
     order = np.argsort(app_ns, kind="stable")
-    hit = hit[order]
-    src = events.source[ev[hit]]
+    win = win[order]
     return Packets(
         recv_ns=app_ns[order],
-        device=src,
+        device=events.source[ev[order]],
         device_ids=tuple([device_id for device_id, _ in events.sources]),
-        channel=ids[src, k[hit]],
-        window_index=np.searchsorted(bounds[:, 1], t[hit], side="right"),
-        rssi_dbm=np.full(len(hit), np.nan),
+        channel=w_channel[win],
+        window_index=win,
+        rssi_dbm=np.full(len(order), np.nan),
     )
 
 

@@ -271,6 +271,52 @@ def test_overlapping_windows_are_a_config_error():
     assert {p.window_index for p in packets} == {0, 1}
 
 
+BOTTOM, TOP = -(2**63), 2**63 - 1
+
+
+def bottom_window(start_ms, end_ms, channel):
+    return ScanWindow(
+        TimeInstant(BOTTOM + start_ms * 1_000_000, RADIO_CLOCK),
+        TimeInstant(BOTTOM + end_ms * 1_000_000, RADIO_CLOCK),
+        CH[channel],
+    )
+
+
+def test_reception_refuses_a_beacon_past_int64_before_any_draw():
+    # the second beacon would go out at 2**63 + 399_899 ns, which int64 wraps
+    # into the window at the bottom of the range
+    late = TimeInstant(TOP - 100, RADIO_CLOCK)
+    window = [bottom_window(0, 2, 38)]
+    start = [TimeInstant(BOTTOM, RADIO_CLOCK)]
+    rng = substream(1, "rx")
+    state = rng.getstate()
+    event = AdvertisingEvent(late, "d", (CH[37], CH[38]))
+    message = "^advertising beacons must stay within the int64 ns range$"
+    with pytest.raises(ConfigError, match=message):
+        simulate_reception([event], window, start, ClockModel(), LossModel(0.3), rng)
+    assert rng.getstate() == state
+    # one beacon at the same instant stays in range
+    alone = AdvertisingEvent(late, "d", (CH[38],))
+    assert assert_same_reception([alone], window, start, ClockModel(), LossModel(), 1) == []
+
+
+def test_reception_at_the_int64_bottom_matches_the_loop():
+    # Windows from the first int64 ns, on channels each list sends in a later
+    # slot too, so a window start less a slot's offset would pass the bottom.
+    windows = [bottom_window(0, 1, 38), bottom_window(1, 3, 39), bottom_window(3, 9, 37)]
+    lists = [tuple(CH[c] for c in chs) for chs in [(37, 38, 39), (39, 37), (38,), (37, 37, 38)]]
+    events = [
+        AdvertisingEvent(TimeInstant(BOTTOM + offset, RADIO_CLOCK), f"dev{d}", chs)
+        for offset in (0, 1, GAP - 1, GAP, 700_000, 2_000_000, 8_999_999)
+        for d, chs in enumerate(lists)
+    ]
+    start = [TimeInstant(BOTTOM, RADIO_CLOCK)]
+    for chosen in ([ev for ev in events if ev.channels == lists[0]], events):
+        packets = assert_same_reception(chosen, windows, start, ClockModel(), LossModel(), 2)
+        assert {p.window_index for p in packets} == {0, 1, 2}
+        assert_same_reception(chosen, windows, start, ClockModel(), LossModel(0.3), 2)
+
+
 def division_oracle(t, starts, interval, guard):
     """(kind, slot, rem, anchor) by enumerating the slot with Python ints."""
     i = bisect_right(starts, t) - 1
