@@ -14,6 +14,8 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ClockMismatchError, ConfigError
 
 NS_PER_S = 1_000_000_000
@@ -120,6 +122,11 @@ class ColumnView(Sequence):
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def _floats(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (a CPython ``math`` function) applied to each float of ``values``."""
+    return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
 
 
 def app_instant(seconds: float) -> TimeInstant:

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    ADVERTISING_CHANNELS,
     APP_CLOCK,
     CHANNEL_FREQ_HZ,
     NS_PER_S,
@@ -38,7 +39,7 @@ from .core import (
 )
 from .detector import _LABELS, DetectorConfig, Instants, Labels, classify_trace
 from .errors import ConfigError, NoDataError, TraceOrderError, TraceParseError
-from .ranging import EstimatorComparison, RangingSample, compare_estimators
+from .ranging import EstimatorComparison, RangingSamples, compare_estimators
 from .simkit import (
     _ALL_CHANNELS,
     _INT64_MAX,
@@ -276,9 +277,19 @@ def trace_to_text(trace: TraceFile) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write an output file: UTF-8 with LF line endings on every platform."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+    """Write an output file: UTF-8 with LF line endings on every platform.
+
+    Text that does not encode to UTF-8 (a lone surrogate) is refused with
+    ConfigError before the file is opened.
+    """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(
+            f"cannot write {path}: not UTF-8 text: {exc.reason} at character {exc.start}"
+        ) from None
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def read_text(path: str, error: type[ValueError]) -> str:
@@ -1241,7 +1252,7 @@ class RangingResult:
         )
 
 
-def gen_ranging_samples(cfg: ExperimentConfig, rssi: RssiModel, n: int, rng) -> list[RangingSample]:
+def gen_ranging_samples(cfg: ExperimentConfig, rssi: RssiModel, n: int, rng) -> RangingSamples:
     """Draw labeled RSSI observations from ``rssi``, the config's RSSI model.
 
     Distances are log-uniform between the configured bounds, channels uniform;
@@ -1249,16 +1260,19 @@ def gen_ranging_samples(cfg: ExperimentConfig, rssi: RssiModel, n: int, rng) -> 
     ``cfg`` is expected to have passed :meth:`ExperimentConfig.validate`.
     """
     lo = math.log10(cfg.distance_min_m)
-    hi = math.log10(cfg.distance_max_m)
+    span = math.log10(cfg.distance_max_m) - lo
     shadowed = rssi.shadow_sigma_db > 0
+    choice, uniform, gauss = rng.choice, rng.random, rng.gauss
     channels, distances, z = [], [], []
     for _ in range(n):
-        channels.append(rng.choice(_ALL_CHANNELS))
-        distances.append(10.0 ** (lo + rng.random() * (hi - lo)))
+        channels.append(choice(ADVERTISING_CHANNELS))
+        distances.append(10.0 ** (lo + uniform() * span))
         if shadowed:
-            z.append(rng.gauss(0.0, 1.0))
-    level = rssi.readings([c.id for c in channels], distances, z if shadowed else None)
-    return list(map(RangingSample, channels, distances, level.tolist()))
+            z.append(gauss(0.0, 1.0))
+    channel = np.array(channels, np.int64)
+    distance = np.array(distances, np.float64)
+    level = rssi.readings(channel, distance, z if shadowed else None)
+    return RangingSamples(channel, distance, level)
 
 
 def run_ranging_experiment(cfg: ExperimentConfig) -> RangingResult:
@@ -1275,10 +1289,10 @@ def run_ranging_experiment(cfg: ExperimentConfig) -> RangingResult:
     )
 
 
-def read_samples_csv(path: str) -> list[RangingSample]:
-    text = read_text(path, TraceParseError)
+def _sample_rows(text: str) -> RangingSamples:
+    """A samples CSV read row by row: blank lines skipped, each row stripped."""
     rows = _table_rows(text, SAMPLES_COLUMNS, f"expected {SAMPLES_COLUMNS!r} header")
-    samples = []
+    channels, distances, readings = [], [], []
     for lineno, parts in rows:
         try:
             channel, distance, rssi = Channel.of(int(parts[0])), float(parts[1]), float(parts[2])
@@ -1288,8 +1302,51 @@ def read_samples_csv(path: str) -> list[RangingSample]:
             raise TraceParseError("need 0 < distance_m < inf and a finite rssi_dbm", line=lineno)
         if abs(rssi) > MAX_SAMPLE_RSSI_DBM:
             raise TraceParseError(f"|rssi_dbm| above {MAX_SAMPLE_RSSI_DBM:g} dBm", line=lineno)
-        samples.append(RangingSample(channel, distance, rssi))
-    return samples
+        channels.append(channel.id)
+        distances.append(distance)
+        readings.append(rssi)
+    return RangingSamples(
+        np.array(channels, np.int64), np.array(distances, np.float64), np.array(readings, np.float64)
+    )
+
+
+# Every byte a plain samples body holds besides its separators.
+_NUMBER_BYTES = b"0123456789+-.eE"
+
+
+def samples_from_text(text: str) -> RangingSamples:
+    """The samples of a samples CSV's text.
+
+    A plain body, the header line then rows of three number cells each ended
+    by ``\n``, is read in one split; any other text, and any plain body with a
+    cell that does not parse or a value out of range, goes through the row
+    reader, which names the line at fault.
+    """
+    head, _, body = text.partition("\n")
+    raw = body.encode("ascii", "replace")
+    rows = raw.count(b"\n")
+    plain = raw.endswith(b"\n") and raw.translate(None, _NUMBER_BYTES) == b",,\n" * rows
+    if head == SAMPLES_COLUMNS and plain:
+        cells = body.replace("\n", ",").split(",")
+        try:  # a channel id the view refuses is a ConfigError, a ValueError
+            samples = RangingSamples(
+                np.fromiter(map(int, cells[0:-1:3]), np.int64, rows),
+                np.fromiter(map(float, cells[1::3]), np.float64, rows),
+                np.fromiter(map(float, cells[2::3]), np.float64, rows),
+            )
+        except (ValueError, OverflowError):
+            pass
+        else:
+            distance, rssi = samples.distance_m, samples.rssi_dbm
+            if np.all((0 < distance) & (distance < math.inf)) and np.all(
+                np.abs(rssi) <= MAX_SAMPLE_RSSI_DBM
+            ):
+                return samples
+    return _sample_rows(text)
+
+
+def read_samples_csv(path: str) -> RangingSamples:
+    return samples_from_text(read_text(path, TraceParseError))
 
 
 def write_samples_csv(path: str, samples) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHANNEL_FREQ_HZ, Channel
+from .core import ADVERTISING_CHANNELS, CHANNEL_FREQ_HZ, Channel, ColumnView, _floats
 from .errors import ConfigError, FitError, NoDataError, TraceParseError
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -66,10 +66,51 @@ class RangingSample:
     rssi_dbm: float
 
 
+@dataclass(frozen=True, eq=False)
+class RangingSamples(ColumnView):
+    """Labelled readings as columns; items are :class:`RangingSample`.
+
+    ``channel`` holds int64 channel ids (37, 38 or 39), ``distance_m`` and
+    ``rssi_dbm`` float64 columns of the same length.
+    """
+
+    channel: np.ndarray
+    distance_m: np.ndarray
+    rssi_dbm: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.channel) == len(self.distance_m) == len(self.rssi_dbm):
+            raise ConfigError("sample columns must have one entry per sample")
+        bad = (self.channel < 37) | (self.channel > 39)
+        if bad.any():
+            raise ConfigError(f"not an advertising channel: {self.channel[bad][0]}")
+
+    def __len__(self) -> int:
+        return len(self.channel)
+
+    def _item(self, i: int) -> RangingSample:
+        return RangingSample(
+            Channel.of(int(self.channel[i])), float(self.distance_m[i]), float(self.rssi_dbm[i])
+        )
+
+    @classmethod
+    def of(cls, samples) -> "RangingSamples":
+        """Columns of any iterable of samples, read once; a view is returned as it is."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        return cls(
+            channel=np.array([s.channel.id for s in samples], np.int64),
+            distance_m=np.array([s.distance_m for s in samples], np.float64),
+            rssi_dbm=np.array([s.rssi_dbm for s in samples], np.float64),
+        )
+
+
 # Extra free-space loss of each channel id relative to channel 37; 0.28 dB at most.
 _FREQ_TERM_DB = {
     c: 20.0 * math.log10(f / CHANNEL_FREQ_HZ[37]) for c, f in CHANNEL_FREQ_HZ.items()
 }
+_FREQ_TERMS = np.array([_FREQ_TERM_DB[c] for c in ADVERTISING_CHANNELS])
 
 
 # Every key CalibrationModel.to_text writes.
@@ -106,6 +147,13 @@ class CalibrationModel:
     exponent_se: float | None = None
     residual_sigma_db: float | None = None
     n_samples: int = 0
+
+    def _channel_terms(self) -> np.ndarray:
+        """What channels 37, 38, 39 add to the channel 37 level: each offset less
+        its frequency term, or zeros for a channel-agnostic model."""
+        if not self.channel_aware:
+            return np.zeros(3)
+        return np.array(self.channel_offset_db, np.float64) - _FREQ_TERMS
 
     def predict_rssi(self, channel: Channel, distance_m: float) -> float:
         if distance_m <= 0:
@@ -221,14 +269,13 @@ def calibrate(
         raise ConfigError(
             f"path_loss_exponent must be finite and positive, got {path_loss_exponent!r}"
         )
-    samples = list(samples)
-    if not samples:
+    samples = RangingSamples.of(samples)
+    if not len(samples):
         raise NoDataError("no calibration samples")
-    chan = np.array([s.channel.id for s in samples])
-    dist = np.array([s.distance_m for s in samples], dtype=float)
-    rssi = np.array([s.rssi_dbm for s in samples], dtype=float)
+    chan, dist, rssi = samples.channel, samples.distance_m, samples.rssi_dbm
     if not (np.all((0 < dist) & (dist < math.inf)) and np.isfinite(rssi).all()):
         raise ConfigError("calibration needs positive finite distances and finite readings")
+    # not np.unique: without return_inverse it imports numpy.ma, about 1 MiB
     missing = set(CHANNEL_FREQ_HZ) - set(chan.tolist()) if channel_aware else set()
     if missing:
         raise FitError(
@@ -236,11 +283,11 @@ def calibrate(
         )
 
     # math.log10 and this order of adding to y keep the per-reading floats.
-    log_d = np.array([math.log10(d) for d in dist.tolist()])
+    log_d = _floats(math.log10, dist)
     y = rssi
     design = {"intercept": np.ones(len(samples))}
     if channel_aware:
-        y = y + np.array([_FREQ_TERM_DB[c] for c in chan.tolist()])
+        y = y + _FREQ_TERMS[chan - 37]
         design["offset_38"] = (chan == 38).astype(float)
         design["offset_39"] = (chan == 39).astype(float)
     if path_loss_exponent is None:
@@ -323,18 +370,27 @@ class EstimatorComparison:
         return self.aware_rmse_m / self.agnostic_rmse_m
 
 
-def _rmse(model: CalibrationModel, samples) -> float:
-    errs = [model.distance(s.channel, s.rssi_dbm) - s.distance_m for s in samples]
-    return math.sqrt(sum(e * e for e in errs) / len(errs))
+@np.errstate(all="ignore")  # overflow gives inf and nan, as float arithmetic does
+def _rmse(model: CalibrationModel, samples: RangingSamples) -> float:
+    """Root mean square of ``model.distance`` less the true distance, reading by
+    reading: one ``10.0 ** x`` each, and the squares summed left to right."""
+    level_1m = model.intercept_dbm + model._channel_terms()[samples.channel - 37]
+    x = (level_1m - samples.rssi_dbm) / (10.0 * model.path_loss_exponent)
+    errs = _floats((10.0).__pow__, x) - samples.distance_m
+    return math.sqrt(sum((errs * errs).tolist()) / len(errs))
 
 
 def compare_estimators(
     train, test, *, path_loss_exponent: float | None = None
 ) -> EstimatorComparison:
-    """Fit both model flavours on ``train`` and score distance RMSE on ``test``."""
-    test = list(test)
-    if not test:
+    """Fit both model flavours on ``train`` and score distance RMSE on ``test``.
+
+    Either may be a :class:`RangingSamples` view or any iterable of samples.
+    """
+    test = RangingSamples.of(test)
+    if not len(test):
         raise NoDataError("no evaluation samples")
+    train = RangingSamples.of(train)
     aware = calibrate(train, path_loss_exponent=path_loss_exponent, channel_aware=True)
     agnostic = calibrate(train, path_loss_exponent=path_loss_exponent, channel_aware=False)
     return EstimatorComparison(

@@ -32,6 +32,7 @@ from .core import (
     Duration,
     ScanSettings,
     TimeInstant,
+    _floats,
 )
 from .errors import ClockMismatchError, ConfigError
 
@@ -609,17 +610,24 @@ class RssiModel:
             channel_offset_db=self.channel_offset_db,
         )
 
+    @np.errstate(all="ignore")  # inf and nan where float arithmetic gives them
     def readings(self, channel, distance_m, z=None) -> np.ndarray:
         """The readings at channel ids ``channel`` and distances ``distance_m`` (m):
-        ``to_calibration().predict_rssi``, once per distinct (channel, distance) pair,
+        ``to_calibration().predict_rssi`` of each, with one ``math.log10`` per distinct
+        distance and the rest as column arithmetic in ``predict_rssi``'s order,
         plus ``0.0 + z * shadow_sigma_db`` (what ``rng.gauss(0.0, sigma)`` adds) where
         standard-normal draws ``z`` are given."""
-        predict = self.to_calibration().predict_rssi
+        model = self.to_calibration()
+        channel = np.asarray(channel, np.int64)
+        bad = (channel < 37) | (channel > 39)
+        if bad.any():
+            raise ConfigError(f"not an advertising channel: {channel[bad].min()}")
         dist, d_at = np.unique(np.asarray(distance_m, np.float64), return_inverse=True)
-        key = np.asarray(channel, np.int64) * len(dist) + d_at
-        keys, inverse = np.unique(key, return_inverse=True)
-        pairs = zip((keys // len(dist)).tolist(), dist[keys % len(dist)].tolist())
-        level = np.array([predict(Channel.of(c), d) for c, d in pairs], np.float64)[inverse]
+        if np.any(dist <= 0):
+            raise ConfigError("distance must be positive")
+        slope = 10.0 * model.path_loss_exponent
+        level = (model.intercept_dbm - slope * _floats(math.log10, dist))[d_at]
+        level += model._channel_terms()[channel - 37]
         if z is not None:
             level += 0.0 + np.asarray(z, np.float64) * self.shadow_sigma_db
         return level
@@ -703,10 +711,11 @@ def simulate_reception(
     any sequence of :class:`ScanWindow`.  A beacon is received iff some window covers
     its transmit instant on the matching channel; each window's bounds are
     searched among the sorted event starts, and it gives its catches their
-    ``window_index``.  Windows must not overlap, nor beacons pass the int64
-    ns range (ConfigError otherwise).  Caught beacons are taken in transmit
-    order (ties keep event order); one latency is drawn per epoch, then one
-    loss draw per caught beacon when loss is on.  The result is sorted by
+    ``window_index``.  Windows must not overlap nor open before the first
+    restart, nor beacons pass the int64 ns range (ConfigError otherwise).
+    Caught beacons are taken in transmit order (ties keep event order); one
+    latency is drawn per epoch, then one loss draw per caught beacon when
+    loss is on.  The result is sorted by
     app timestamp, ties in transmit order, with no readings (all NaN).
     """
     restart_ns = np.array(_schedule_ns(restarts), np.int64)
@@ -716,6 +725,8 @@ def simulate_reception(
     w_start, w_end = windows.start_ns[order], windows.end_ns[order]
     if np.any(w_end < w_start) or np.any(w_start[1:] < w_end[:-1]):
         raise ConfigError("scan windows must not overlap")
+    if len(w_start) and w_start[0] < restart_ns[0]:
+        raise ConfigError("scan windows must not open before the first restart")
     w_channel, gap = windows.channel[order], INTER_BEACON_GAP.ns
     lists = [[c.id for c in chs] for _, chs in events.sources]
     groups = {(k, c) for chs in lists for k, c in enumerate(chs)}
@@ -752,9 +763,9 @@ def simulate_reception(
     if loss.drop_prob > 0.0:
         kept = ~np.array([loss.drops(rng) for _ in range(len(t))], bool)
         ev, t, win = ev[kept], t[kept], win[kept]
-    # Each epoch's run of beacons takes its latency; any before the first, the last one's.
-    cuts = np.concatenate(([0], np.searchsorted(t, restart_ns), [len(t)]))
-    app_ns = clock.to_app_ns(t) + np.repeat(jitters[np.arange(-1, len(jitters))], np.diff(cuts))
+    # Each epoch's run of beacons takes its latency; no window opens before the first.
+    cuts = np.append(np.searchsorted(t, restart_ns), len(t))
+    app_ns = clock.to_app_ns(t) + np.repeat(jitters, np.diff(cuts))
     order = np.argsort(app_ns, kind="stable")
     win = win[order]
     return Packets(
@@ -769,11 +780,6 @@ def simulate_reception(
 
 # Most Gaussian pairs one ``getrandbits`` call of _gauss_draws draws.
 _GAUSS_BLOCK = 1 << 10
-
-
-def _floats(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` (a CPython ``math`` function) applied to each float of ``values``."""
-    return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
 
 
 def _gauss_draws(n: int, rng: random.Random) -> np.ndarray:

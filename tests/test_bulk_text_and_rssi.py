@@ -54,7 +54,7 @@ from blechannel.harness import (
     trace_from_text,
     trace_to_text,
 )
-from blechannel.ranging import CalibrationModel, RangingSample
+from blechannel.ranging import RangingSample
 from blechannel.simkit import (
     _ALL_CHANNELS,
     _CHANNEL_OF_ID,
@@ -962,17 +962,16 @@ def test_readings_are_predictions_plus_shadowing_bit_for_bit(pairs, sigma, offse
     assert [r.hex() for r in got.tolist()] == [w.hex() for w in want]
 
 
-def test_readings_predict_each_distinct_pair_once(monkeypatch):
+def test_readings_take_one_log10_per_distinct_distance(monkeypatch):
     calls = []
-    predict = CalibrationModel.predict_rssi
-    monkeypatch.setattr(
-        CalibrationModel,
-        "predict_rssi",
-        lambda self, ch, d: calls.append((ch.id, d)) or predict(self, ch, d),
-    )
+    log10 = math.log10
+    monkeypatch.setattr(math, "log10", lambda x: calls.append(x) or log10(x))
     model = RssiModel(shadow_sigma_db=2.0)
+    model.to_calibration()
+    own = calls[:]  # the model's one-metre loss
+    calls.clear()
     level = model.readings([37, 38, 37, 37, 39, 38], [2.0, 2.0, 2.0, 4.0, 2.0, 2.0])
-    assert sorted(calls) == [(37, 2.0), (37, 4.0), (38, 2.0), (39, 2.0)]
+    assert sorted(calls) == sorted(own + [2.0, 4.0])
     assert level[0] == level[2] and level[1] == level[5]
 
 

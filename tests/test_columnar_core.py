@@ -48,6 +48,8 @@ INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 def reference_reception(events, windows, restarts, clock, loss, rng):
     """The per-beacon matching loop, kept as the reference."""
+    if any(w.start.ns < restarts[0].ns for w in windows):
+        raise ConfigError("scan windows must not open before the first restart")
     beacons = []
     for ev in events:
         for t, ch in ev.beacons():
@@ -269,6 +271,25 @@ def test_overlapping_windows_are_a_config_error():
     # windows that only touch do not overlap
     packets = receive(events, [first, ScanWindow(radio_instant(2.0), radio_instant(3.0), ch38)])
     assert {p.window_index for p in packets} == {0, 1}
+
+
+def test_a_window_before_the_first_restart_is_refused_before_any_draw():
+    # A beacon it caught would belong to no epoch (it once took the last
+    # epoch's latency).
+    event = AdvertisingEvent(radio_instant(0.5), "d", (CH[37],))
+    window = [ScanWindow(radio_instant(0.0), radio_instant(3.0), CH[37])]
+    restarts = [radio_instant(1.0), radio_instant(2.0)]
+    clock = ClockModel(jitter_range=(0.0, 0.05))
+    message = "^scan windows must not open before the first restart$"
+    for receive_with in (simulate_reception, reference_reception):
+        rng = substream(1, "rx")
+        state = rng.getstate()
+        with pytest.raises(ConfigError, match=message):
+            receive_with([event], window, restarts, clock, LossModel(), rng)
+        assert rng.getstate() == state
+    # opening on the first restart is fine
+    window = [ScanWindow(radio_instant(1.0), radio_instant(3.0), CH[37])]
+    assert assert_same_reception([event], window, restarts, clock, LossModel(), 1) == []
 
 
 BOTTOM, TOP = -(2**63), 2**63 - 1

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blechannel import harness
@@ -123,6 +123,8 @@ def test_trace_to_text_validates_labels_and_ids():
         ({"scan_window_ns": 4_096_000_001}, "need 0 < ds_ns <= ts_ns"),
         ({"behavior_tag": "a b"}, "bad metadata token 'b'"),
         ({"behavior_tag": "a seed=3"}, "repeated metadata key 'seed'"),
+        # trace_to_text takes it; it has no UTF-8 bytes to write
+        ({"behavior_tag": "a\ud800b"}, "not UTF-8 text: surrogates not allowed"),
     ],
 )
 def test_trace_headers_the_reader_refuses_are_not_written(tmp_path, change, message):
@@ -560,6 +562,86 @@ def test_samples_csv_round_trip(tmp_path):
     with pytest.raises(TraceParseError) as exc:
         read_samples_csv(str(bad))
     assert exc.value.line == 2
+
+
+_SAMPLE_CELLS = (
+    st.sampled_from(["37", "38", "39"]),
+    st.floats(min_value=0.01, max_value=100.0).map(repr),
+    st.floats(min_value=-130.0, max_value=0.0).map(repr),
+)
+_BAD_CELLS = (
+    st.sampled_from(["+37", "037", "36", "40", "x", "", "3.0", "9" * 30]),
+    st.sampled_from(["0", "-1", "inf", "nan", "1e999", "1_0", "", ".5", "5.", "e", "1e-400"]),
+    st.sampled_from(["-250", "nan", "-inf", "+3", "1e2", "", "-", "200", "-200.0000001"]),
+)
+
+
+@st.composite
+def sample_texts(draw):
+    """Samples CSV texts, plain or edited: CRLF or CR line ends, blank lines,
+    padded cells, a vertical tab inside a row, rows with a bad cell or the
+    wrong number of fields, no final line end."""
+    lines = [harness.SAMPLES_COLUMNS]
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        cells = [draw(bad if draw(st.integers(0, 7)) == 0 else good)
+                 for good, bad in zip(_SAMPLE_CELLS, _BAD_CELLS)]
+        edit = draw(st.sampled_from(["none"] * 6 + ["pad", "vt", "fields", "blank"]))
+        if edit == "pad":
+            cells = [f" {c}\t" for c in cells]
+        elif edit == "vt":
+            at = draw(st.integers(min_value=0, max_value=2))
+            cut = draw(st.integers(min_value=0, max_value=len(cells[at])))
+            cells[at] = cells[at][:cut] + "\x0b" + cells[at][cut:]
+        elif edit == "fields":
+            cells = (cells + ["1"])[: draw(st.sampled_from([1, 2, 4]))]
+        elif edit == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        lines.append(",".join(cells))
+    if draw(st.booleans()):
+        lines.insert(0, "")
+    end = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, end, ""]))
+
+
+def _samples_read(reader, text):
+    """A reader's columns, floats bit for bit, or its error and line."""
+    try:
+        s = reader(text)
+    except TraceParseError as exc:
+        assert "\n" not in str(exc)
+        return str(exc), exc.line
+    columns = (s.channel, s.distance_m, s.rssi_dbm)
+    return [c.dtype.str for c in columns], s.channel.tolist(), [
+        [x.hex() for x in c.tolist()] for c in columns[1:]
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=sample_texts())
+# a last row of one cell with no line end; a row of four cells then one of
+# two; a vertical tab that int() strips and splitlines() breaks at; and a
+# value out of range in each column of an otherwise plain body
+@example(text="channel,distance_m,rssi_dbm\n37,1.5,-40.5\n37")
+@example(text="channel,distance_m,rssi_dbm\n37,1.5,-40.5,1\n2,-3\n")
+@example(text="channel,distance_m,rssi_dbm\n37\x0b,1.5,-40.5\n")
+@example(text="channel,distance_m,rssi_dbm\n37,1.5,-40.5\n40,1.5,-40.5\n")
+@example(text="channel,distance_m,rssi_dbm\n37,1.5,-40.5\n38,0,-40.5\n")
+@example(text="channel,distance_m,rssi_dbm\n37,1.5,-40.5\n39,1.5,-250\n")
+def test_samples_fast_path_and_row_reader_agree(text):
+    expected = _samples_read(harness._sample_rows, text)
+    assert _samples_read(harness.samples_from_text, text) == expected
+
+
+def test_plain_samples_text_is_read_without_the_row_reader(monkeypatch):
+    text = "channel,distance_m,rssi_dbm\n37,1.5,-43.21\n+38,12.0,-60.0\n39,2e1,-71.5\n"
+    want = _samples_read(harness._sample_rows, text)
+
+    def no_rows(text):
+        raise AssertionError("a plain text went through the row reader")
+
+    monkeypatch.setattr(harness, "_sample_rows", no_rows)
+    assert _samples_read(harness.samples_from_text, text) == want
+    assert want[1] == [37, 38, 39]
 
 
 def test_parse_errors_name_the_file_line_after_blank_lines(tmp_path):

@@ -12,6 +12,7 @@ from blechannel.ranging import (
     CalibrationModel,
     RadioLink,
     RangingSample,
+    RangingSamples,
     balanced_average,
     calibrate,
     compare_estimators,
@@ -429,3 +430,61 @@ def test_calibrate_matches_the_per_reading_fit(samples, exponent, aware):
     flags = dict(path_loss_exponent=exponent, channel_aware=aware)
     expected = _outcome(refusing_reference_calibrate, samples, **flags)
     assert _outcome(calibrate, samples, **flags) == expected
+
+
+def reference_rmse(model, samples):
+    """Distance RMSE one sample at a time."""
+    errs = [model.distance(s.channel, s.rssi_dbm) - s.distance_m for s in samples]
+    return math.sqrt(sum(e * e for e in errs) / len(errs))
+
+
+def reference_compare(train, test, path_loss_exponent=None):
+    """compare_estimators on sample lists, with the per-reading fit and RMSE."""
+    if not test:
+        raise NoDataError("no evaluation samples")
+    flags = dict(path_loss_exponent=path_loss_exponent)
+    aware = refusing_reference_calibrate(train, channel_aware=True, **flags)
+    agnostic = refusing_reference_calibrate(train, channel_aware=False, **flags)
+    return aware, agnostic, reference_rmse(aware, test), reference_rmse(agnostic, test)
+
+
+def _compared(compare, *args, **flags):
+    """Both models and both RMSEs, bit for bit; or the error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            aware, agnostic, *rmse = compare(*args, **flags)
+    except Exception as exc:  # compared by type and message below
+        return type(exc), str(exc)
+    return repr(aware), repr(agnostic), [r.hex() for r in rmse]
+
+
+_channels = st.sampled_from([CH37, CH38, CH39])
+# readings near a log-distance law with a channel offset, which fit; or any
+_lawful = st.builds(
+    lambda ch, d, noise: RangingSample(ch, d, -40.0 - 20.0 * math.log10(d) - 4.0 * (ch.id - 37) + noise),
+    _channels,
+    st.floats(min_value=0.1, max_value=50.0),
+    st.floats(min_value=-6.0, max_value=6.0),
+)
+_any_sample = st.builds(RangingSample, _channels, _distances, _readings)
+# the first three on channels 37, 38 and 39
+_lawful_train = st.lists(_lawful, min_size=3, max_size=40).map(
+    lambda s: [RangingSample(ch, x.distance_m, x.rssi_dbm) for x, ch in zip(s, (CH37, CH38, CH39))]
+    + s[3:]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    train=_lawful_train | st.lists(_any_sample, max_size=20),
+    test=st.lists(_lawful | _any_sample, min_size=1, max_size=20) | st.just([]),
+    exponent=st.none() | st.sampled_from([2.0, 3.3]),
+)
+def test_compare_estimators_on_columns_matches_the_per_sample_reference(train, test, exponent):
+    expected = _compared(reference_compare, train, test, path_loss_exponent=exponent)
+
+    def on_views(train, test, **flags):
+        c = compare_estimators(RangingSamples.of(train), RangingSamples.of(test), **flags)
+        return c.aware, c.agnostic, c.aware_rmse_m, c.agnostic_rmse_m
+
+    assert _compared(on_views, train, test, path_loss_exponent=exponent) == expected
