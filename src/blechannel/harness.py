@@ -1101,9 +1101,15 @@ def _preset(name: str, kind: type, what: str):
     return settings
 
 
-def simulate_scenario(cfg: ExperimentConfig, seed: int, with_rssi: bool = False) -> TraceFile:
-    """One full simulated capture of the configured scenario, as read_trace gives one."""
-    parts = cfg.scenario()
+def simulate_scenario(
+    cfg: ExperimentConfig, seed: int, with_rssi: bool = False, *, scenario: Scenario | None = None
+) -> TraceFile:
+    """One full simulated capture of the configured scenario, as read_trace gives one.
+
+    ``scenario`` is ``cfg.scenario()`` when the caller has already built it;
+    the replica loop passes it, so a row resolves its config once.
+    """
+    parts = cfg.scenario() if scenario is None else scenario
     adv, clock = parts.adv, parts.clock
     restarts = [TimeInstant(ns, RADIO_CLOCK) for ns in parts.restarts_ns]
     end = TimeInstant(parts.duration.ns, RADIO_CLOCK)
@@ -1153,16 +1159,18 @@ def classification_samples(trace: TraceFile, dconf: DetectorConfig) -> Samples:
     return Samples(elapsed_ns / NS_PER_S, classified.outcomes(packets.channel))
 
 
-def _replica_samples(cfg: ExperimentConfig, dconf: DetectorConfig):
+def _replica_samples(cfg: ExperimentConfig, parts: Scenario):
     """Each replica's :class:`Samples`, seed by seed: the experiments' one replica
-    loop, which simulates a replica only once the one before it is consumed."""
+    loop, which simulates a replica only once the one before it is consumed.
+    ``parts`` is ``cfg.scenario()``, built once for every replica."""
     for i in range(cfg.n_seeds):
-        yield classification_samples(simulate_scenario(cfg, cfg.seed + i), dconf)
+        trace = simulate_scenario(cfg, cfg.seed + i, scenario=parts)
+        yield classification_samples(trace, parts.detector)
 
 
 def run_accuracy_experiment(cfg: ExperimentConfig) -> AccuracyCurve:
     """Accuracy over elapsed scan time, pooled over ``n_seeds`` replicas."""
-    replicas = _replica_samples(cfg, cfg.scenario().detector)
+    replicas = _replica_samples(cfg, cfg.scenario())
     return build_accuracy_curve(replicas, cfg.bucket_s, cfg.duration_s)
 
 
@@ -1222,12 +1230,12 @@ def run_compatibility_matrix(cfg: ExperimentConfig) -> MatrixResult:
     # every row is built up front, so no row runs when a later one cannot
     scens = [dataclasses.replace(cfg, behavior=tag) for tag in MATRIX_BEHAVIORS]
     rows = []
-    for scen, dconf in [(scen, scen.scenario().detector) for scen in scens]:
+    for scen, parts in [(scen, scen.scenario()) for scen in scens]:
         counts = np.zeros(3, np.int64)
-        for s in _replica_samples(scen, dconf):
+        for s in _replica_samples(scen, parts):
             counts += _tally(s.outcome, 0, 1)[0]  # every packet, whatever its elapsed time
             del s  # drop this replica before the next one is drawn
-        interval_s = dconf.scan_settings.scan_interval.seconds
+        interval_s = parts.detector.scan_settings.scan_interval.seconds
         rows.append(MatrixRow(scen.behavior, interval_s, *counts.tolist()))
     return MatrixResult(rows=tuple(rows))
 
@@ -1350,7 +1358,7 @@ def read_samples_csv(path: str) -> RangingSamples:
 
 
 def write_samples_csv(path: str, samples) -> None:
-    lines = [SAMPLES_COLUMNS]
-    for s in samples:
-        lines.append(f"{s.channel.id},{s.distance_m!r},{s.rssi_dbm!r}")
-    write_text(path, "\n".join(lines) + "\n")
+    """Write a samples CSV from ``RangingSamples.of(samples)``: each float as its ``repr``."""
+    view = RangingSamples.of(samples)
+    cols = (view.channel.tolist(), view.distance_m.tolist(), view.rssi_dbm.tolist())
+    write_text(path, "\n".join([SAMPLES_COLUMNS, *map("{},{!r},{!r}".format, *cols)]) + "\n")

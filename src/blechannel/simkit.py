@@ -51,10 +51,10 @@ def substream(seed: int, tag: str) -> random.Random:
 
     String seeding hashes with SHA-512 under the hood, so distinct tags give
     unrelated streams and results do not depend on platform hash settings.
+    Seeding in the constructor gives the state of ``Random()`` then ``.seed``,
+    without first drawing a throwaway seed from the OS.
     """
-    rng = random.Random()
-    rng.seed(f"{seed}:{tag}")
-    return rng
+    return random.Random(f"{seed}:{tag}")
 
 
 @dataclass(frozen=True, slots=True)

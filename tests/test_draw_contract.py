@@ -9,14 +9,19 @@ call ``getrandbits`` themselves where ``randrange`` and ``choice`` would.
 ``_event_starts`` may draw words past the end of a run, then sets the
 generator back with ``setstate`` and draws the used words again in one call.
 Each only gives the same numbers if the interpreter draws those values in
-the way checked here.  Standard library only, so it runs on any
-interpreter without numpy:
+the way checked here.  ``substream`` seeds ``random.Random(text)`` in the
+constructor, which must give the state of ``Random()`` then ``.seed(text)``.
+Standard library and hypothesis only, so it runs on any interpreter without
+numpy:
 
     python tests/test_draw_contract.py
 """
 
 import math
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 SEEDS = (0, 1, 7, 2**40 + 3, "scan:11")
 
@@ -169,6 +174,14 @@ def test_set_back_then_one_long_draw_stands_where_single_words_stand():
                         b.getrandbits(32)
                     assert a.getstate() == b.getstate()
                     assert (a.gauss_next is not None) == pending
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.text())
+def test_seeding_in_the_constructor_is_seeding_after_it(seed):
+    after = random.Random()
+    after.seed(seed)
+    assert random.Random(seed).getstate() == after.getstate()
 
 
 if __name__ == "__main__":

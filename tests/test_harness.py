@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import tempfile
 import weakref
 
 import numpy as np
@@ -19,6 +21,7 @@ from blechannel.harness import (
     AccuracyBucket,
     AccuracyCurve,
     ExperimentConfig,
+    MatrixResult,
     MatrixRow,
     TraceFile,
     build_accuracy_curve,
@@ -34,7 +37,7 @@ from blechannel.harness import (
     write_samples_csv,
     write_trace,
 )
-from blechannel.ranging import RangingSample
+from blechannel.ranging import RangingSample, RangingSamples
 from blechannel.simkit import PacketRecord, Packets
 
 CH37 = Channel.of(37)
@@ -644,6 +647,40 @@ def test_plain_samples_text_is_read_without_the_row_reader(monkeypatch):
     assert want[1] == [37, 38, 39]
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_READABLE = st.floats(-harness.MAX_SAMPLE_RSSI_DBM, harness.MAX_SAMPLE_RSSI_DBM)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([CH37, CH38, Channel.of(39)]),
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | _FINITE,
+            _READABLE | _FINITE,
+        ),
+        max_size=20,
+    ),
+    as_view=st.booleans(),
+)
+def test_samples_csv_is_written_from_columns_as_each_row_was(rows, as_view):
+    samples = [RangingSample(*row) for row in rows]
+    per_row = [f"{s.channel.id},{s.distance_m!r},{s.rssi_dbm!r}" for s in samples]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        write_samples_csv(path, RangingSamples.of(samples) if as_view else samples)
+        with open(path, "rb") as f:
+            assert f.read() == ("\n".join([harness.SAMPLES_COLUMNS, *per_row]) + "\n").encode()
+        readable = all(
+            0 < d < math.inf and abs(r) <= harness.MAX_SAMPLE_RSSI_DBM for _, d, r in rows
+        )
+        if readable:
+            back = read_samples_csv(path)
+            assert back.channel.tolist() == [c.id for c, _, _ in rows]
+            assert back.distance_m.tolist() == [d for _, d, _ in rows]
+            assert back.rssi_dbm.tolist() == [r for _, _, r in rows]
+
+
 def test_parse_errors_name_the_file_line_after_blank_lines(tmp_path):
     """Blank lines are skipped but still counted in the reported line."""
     curve_text = AccuracyCurve(buckets=(AccuracyBucket(0.0, 10.0, 1, 1, 0),)).to_csv_text()
@@ -883,3 +920,48 @@ def test_replicas_are_dropped_before_the_next_is_simulated(monkeypatch):
     run_accuracy_experiment(cfg)
     run_compatibility_matrix(cfg)
     assert len(alive) == 2 * cfg.n_seeds * (1 + len(MATRIX_BEHAVIORS))
+
+
+def test_each_row_resolves_its_config_once(monkeypatch):
+    """A row builds its Scenario once and hands it to every replica."""
+    calls = []
+    resolve = ExperimentConfig.scenario
+
+    def counting(self):
+        calls.append(self.behavior)
+        return resolve(self)
+
+    monkeypatch.setattr(ExperimentConfig, "scenario", counting)
+    run_accuracy_experiment(dataclasses.replace(SHORT, duration_s=10.0, n_seeds=3))
+    assert calls == ["compliant"]
+    calls.clear()
+    run_compatibility_matrix(dataclasses.replace(SHORT, duration_s=10.0, n_seeds=2))
+    assert calls == list(MATRIX_BEHAVIORS)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n_seeds=st.integers(2, 3),
+    loss_prob=st.sampled_from([0.1, 0.5]),
+    jitter_max_s=st.sampled_from([0.003, 0.05]),
+    restart_every_s=st.sampled_from([0.0, 4.0, 9.5]),
+)
+def test_a_shared_scenario_carries_nothing_between_replicas(
+    seed, n_seeds, loss_prob, jitter_max_s, restart_every_s
+):
+    cfg = dataclasses.replace(
+        SHORT,
+        seed=seed,
+        n_seeds=n_seeds,
+        duration_s=20.0,
+        bucket_s=5.0,
+        loss_prob=loss_prob,
+        jitter_max_s=jitter_max_s,
+        restart_every_s=restart_every_s,
+        adv_channels="37,37,39",
+    )
+    want = reference_accuracy_experiment(cfg).to_csv_text()
+    assert run_accuracy_experiment(cfg).to_csv_text() == want
+    rows = tuple(reference_matrix_row(cfg, tag) for tag in MATRIX_BEHAVIORS)
+    assert run_compatibility_matrix(cfg).to_csv_text() == MatrixResult(rows).to_csv_text()

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 import tracemalloc
 from bisect import bisect_right
@@ -57,6 +58,14 @@ def test_substream_is_deterministic_and_tag_sensitive():
     seq_a = [a.random() for _ in range(5)]
     assert seq_a == [b.random() for _ in range(5)]
     assert seq_a != [c.random() for _ in range(5)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(), tag=st.text())
+def test_substream_has_the_state_of_seeding_after_construction(seed, tag):
+    reference = random.Random()
+    reference.seed(f"{seed}:{tag}")
+    assert substream(seed, tag).getstate() == reference.getstate()
 
 
 def test_gen_advertising_spacing_and_span():
