@@ -1164,8 +1164,10 @@ def _replica_samples(cfg: ExperimentConfig, parts: Scenario):
     loop, which simulates a replica only once the one before it is consumed.
     ``parts`` is ``cfg.scenario()``, built once for every replica."""
     for i in range(cfg.n_seeds):
-        trace = simulate_scenario(cfg, cfg.seed + i, scenario=parts)
-        yield classification_samples(trace, parts.detector)
+        # no local holds the trace, which would keep it alive beside the next one
+        yield classification_samples(
+            simulate_scenario(cfg, cfg.seed + i, scenario=parts), parts.detector
+        )
 
 
 def run_accuracy_experiment(cfg: ExperimentConfig) -> AccuracyCurve:

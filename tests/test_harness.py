@@ -902,12 +902,14 @@ def test_pooled_experiments_match_the_per_replica_path(
 
 
 def test_replicas_are_dropped_before_the_next_is_simulated(monkeypatch):
-    """Each experiment holds one replica's Samples at a time."""
+    """Each experiment holds one replica's trace and Samples at a time."""
     alive = []
 
     def simulate(cfg, seed, *args, **kwargs):
         assert [ref for ref in alive if ref() is not None] == []
-        return simulate_scenario(cfg, seed, *args, **kwargs)
+        trace = simulate_scenario(cfg, seed, *args, **kwargs)
+        alive.append(weakref.ref(trace.packets.recv_ns))
+        return trace
 
     def samples(trace, dconf):
         s = classification_samples(trace, dconf)
@@ -919,7 +921,7 @@ def test_replicas_are_dropped_before_the_next_is_simulated(monkeypatch):
     cfg = dataclasses.replace(SHORT, duration_s=20.0, bucket_s=5.0, n_seeds=3)
     run_accuracy_experiment(cfg)
     run_compatibility_matrix(cfg)
-    assert len(alive) == 2 * cfg.n_seeds * (1 + len(MATRIX_BEHAVIORS))
+    assert len(alive) == 3 * cfg.n_seeds * (1 + len(MATRIX_BEHAVIORS))
 
 
 def test_each_row_resolves_its_config_once(monkeypatch):
