@@ -924,6 +924,14 @@ def test_replicas_are_dropped_before_the_next_is_simulated(monkeypatch):
     assert len(alive) == 3 * cfg.n_seeds * (1 + len(MATRIX_BEHAVIORS))
 
 
+def test_samples_csv_writes_numpy_scalars_as_floats(tmp_path):
+    """A sample holding numpy floats is written as plain numbers, not their repr."""
+    path = tmp_path / "s.csv"
+    write_samples_csv(str(path), [RangingSample(CH37, np.float64(1.5), np.float64(-40.25))])
+    assert path.read_text(encoding="utf-8") == "channel,distance_m,rssi_dbm\n37,1.5,-40.25\n"
+    assert read_samples_csv(str(path)).rssi_dbm.tolist() == [-40.25]
+
+
 def test_each_row_resolves_its_config_once(monkeypatch):
     """A row builds its Scenario once and hands it to every replica."""
     calls = []
