@@ -137,11 +137,20 @@ class Instants(ColumnView):
 def _slot_rule(delta, interval, guard):
     """(slot, rem, in_guard) of an elapsed time >= 0; ints and int arrays alike.
 
-    A packet within half a guard of either slot edge is in the guard zone;
-    doubling both sides keeps odd guards in integers.
+    The remainder is taken as ``delta - slot * interval``, exact in ints and in
+    uint64 alike: numpy's remainder has no fast path for one divisor, its floor
+    division has.  A packet within half a guard of either slot edge is in the
+    guard zone; doubling both sides keeps odd guards in integers.
     """
-    slot, rem = divmod(delta, interval)
-    return slot, rem, (2 * rem < guard) | (2 * rem > 2 * interval - guard)
+    slot = delta // interval
+    rem = delta - slot * interval
+    twice = 2 * rem
+    return slot, rem, (twice < guard) | (twice > 2 * interval - guard)
+
+
+def _channel_offset(slot: np.ndarray) -> np.ndarray:
+    """``slot % 3`` of slots >= 0, by floor division (see :func:`_slot_rule`)."""
+    return slot - slot // 3 * 3
 
 
 def _classification(kind: int, slot: int, rem: int, anchor: TimeInstant, interval: int):
@@ -302,13 +311,13 @@ class ClassifiedPackets(ColumnView):
 
     def labels(self) -> Labels:
         """Each packet's :attr:`Classification.label`, kept as label codes."""
-        return Labels(np.where(self.kind == CHANNEL, self.slot % 3, self.kind + 2))
+        return Labels(np.where(self.kind == CHANNEL, _channel_offset(self.slot), self.kind + 2))
 
     def outcomes(self, true_channel: np.ndarray) -> np.ndarray:
         """1 where the channel matches ``true_channel`` (ids, 0 unknown), 0
         where it does not, -1 for guard, pre-start and unknown truth."""
         judged = (self.kind == CHANNEL) & (true_channel != 0)
-        return np.where(judged, 37 + self.slot % 3 == true_channel, -1)
+        return np.where(judged, 37 + _channel_offset(self.slot) == true_channel, -1)
 
 
 def classify_trace(packets, restarts, config: DetectorConfig) -> ClassifiedPackets:

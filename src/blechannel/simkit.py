@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -159,14 +158,22 @@ class ScanWindows(ColumnView):
         return cls(*np.array([(s.ns, e.ns, c) for s, e, c in rows], np.int64).reshape(-1, 3).T)
 
 
-# Most candidates one ``getrandbits`` call of _event_starts draws, which
-# also bounds what a block drawn past the end of the run overdraws.
+# Most candidates one ``getrandbits`` call of _event_starts draws, and most
+# words one of the scanners' window draws takes; it also bounds what a block
+# drawn past the end of the run overdraws.
 _DRAW_BLOCK = 1 << 16
 
 
 def _words(rng: random.Random, n: int) -> np.ndarray:
     """The next ``n`` Mersenne Twister words of ``rng``, from one ``getrandbits(32 * n)``."""
     return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
+
+
+def _rewind(rng: random.Random, saved, used: int) -> None:
+    """Set ``rng`` back to ``saved`` and draw ``used`` words again, so it stands
+    where drawing only the words used from a block would have left it."""
+    rng.setstate(saved)
+    rng.getrandbits(32 * used)
 
 
 def _event_starts(start_ns: int, end_ns: int, base_ns: int, span: int, rng) -> np.ndarray:
@@ -207,8 +214,7 @@ def _event_starts(start_ns: int, end_ns: int, base_ns: int, span: int, rng) -> n
             if t > end_ns and saved is not None:
                 m = int(np.searchsorted(starts, end_ns, "right"))
                 starts = starts[:m]
-                rng.setstate(saved)
-                rng.getrandbits(32 * w * (int(kept[m - 1]) + 1))
+                _rewind(rng, saved, w * (int(kept[m - 1]) + 1))
             parts.append(starts)
     return np.concatenate(parts)
 
@@ -274,20 +280,154 @@ class ScannerBehavior:
         raise NotImplementedError
 
 
-# The channel ids a scanner on each channel can hop to, in ``choice`` order.
-_OTHERS = {c: tuple(o for o in ADVERTISING_CHANNELS if o != c) for c in ADVERTISING_CHANNELS}
+# A hop is CPython's ``choice`` of the two other channels: ``getrandbits(2)``,
+# the top two bits of one word, until it is below 2, so a word below 2**31.
+_HOP_BELOW = 1 << 31
 
 
-def _random_walk(rng: random.Random):
-    """Channel ids from 37 on, each next one drawn uniformly from the other two
-    as CPython's ``choice`` does: ``getrandbits(2)`` until it is below 2."""
-    bits, ch = rng.getrandbits, 37
-    while True:
-        yield ch
-        r = bits(2)
-        while r >= 2:
-            r = bits(2)
-        ch = _OTHERS[ch][r]
+def _first_from(hit: np.ndarray, stride: int = 1) -> np.ndarray:
+    """For each i, the least j of i, i + stride, i + 2 * stride, ... with ``hit[j]``;
+    ``len(hit)`` where there is none."""
+    at = np.where(hit, np.arange(len(hit)), len(hit))
+    for r in range(stride):  # a running minimum from the end of each residue
+        at[r::stride] = np.minimum.accumulate(at[r::stride][::-1])[::-1]
+    return at
+
+
+def _hops(rng: random.Random, n: int) -> np.ndarray:
+    """The bits of ``n`` hops, drawn in bulk: the ``choice`` index of each, and
+    ``rng`` left where n ``choice`` calls of two leave it."""
+    parts = [np.zeros(0, np.uint32)]
+    while n > 0:
+        size = min(2 * n + n // 8 + 32, _DRAW_BLOCK)  # a hop takes 2 words on average
+        saved = rng.getstate()
+        words = _words(rng, size)
+        took = np.flatnonzero(words < _HOP_BELOW)[:n]
+        parts.append(words[took] >> 30)
+        n -= len(took)
+        if n == 0 and took[-1] + 1 < size:
+            _rewind(rng, saved, int(took[-1]) + 1)
+    return np.concatenate(parts)
+
+
+def _window_draws(words: np.ndarray, k: int, width: int):
+    """The windows of rapid-toggle that ``words`` hold whole, from its first word:
+    each a ``randrange(width)`` (k-bit candidates of w words, the last shifted
+    right by 32*w - k, until one is below ``width``) and then a hop.  Returns
+    each window's end (the index after its last word), its ``randrange`` value
+    and its hop bit."""
+    n, w = len(words), (k - 1) // 32 + 1
+    if w == 1:
+        value = words >> (32 - k)
+    else:  # k <= 63, since a width is below 2**63
+        value = np.full(n, width, np.uint64)  # no candidate starts at the last word
+        value[:-1] = words[:-1] | (words[1:] >> (64 - k)).astype(np.uint64) << 32
+    chain = _one_word_chain if w == 1 else _two_word_chain
+    took, hop = chain(value < width, words < _HOP_BELOW)
+    return hop + 1, value[took], (words[hop] >> 30).astype(np.int64)
+
+
+def _one_word_chain(keep: np.ndarray, hop: np.ndarray):
+    """The kept duration and hop words of the whole windows from word 0 when
+    every candidate is one word: ``keep`` holds where a word drawn as a
+    duration is kept, ``hop`` where one drawn as a hop is.
+
+    A word on which the two differ decides the next draw alone: a hop if it is
+    kept as a duration, else a duration.  A word on which they agree flips
+    the draw if it is kept either way (a kept duration moves on to the hop, a
+    kept hop back) and leaves it if not.  So the word at i is drawn as a hop
+    where ``keep`` has odd parity over [c, i), c the last word before i on
+    which the two differ, or 0.
+    """
+    n = len(keep)
+    odd = np.zeros(n + 1, bool)
+    np.logical_xor.accumulate(keep, out=odd[1:])  # parity of keep over [0, i)
+    last = np.maximum.accumulate(np.where(keep != hop, np.arange(n), 0))
+    hopping = odd[:-1].copy()
+    hopping[1:] ^= odd[last[:-1]]
+    kept = np.flatnonzero(np.where(hopping, hop, keep))
+    whole = len(kept) // 2 * 2
+    return kept[0:whole:2], kept[1:whole:2]
+
+
+def _two_word_chain(keep: np.ndarray, hop: np.ndarray):
+    """:func:`_one_word_chain` where a duration candidate is the two words from
+    its index.  The first kept candidate from i is found among i, i + 2, ...
+    and the first hop from j at or after j, so each word gives the start of
+    the next window if a window started there; only that chain from word 0 is
+    walked one window at a time."""
+    n = len(keep)
+    took = _first_from(keep, 2)
+    hop_at = np.append(_first_from(hop), np.full(3, n))
+    after = hop_at[took + 2] + 1  # past n where the window is not held whole
+    on, step, i = bytearray(n), memoryview(after), 0
+    while i < n:
+        on[i] = 1
+        i = step[i]
+    start = np.flatnonzero(np.frombuffer(on, bool))
+    if i > n:  # the last window started is not held whole
+        start = start[:-1]
+    return took[start], after[start] - 1
+
+
+def _toggle_draws(rng: random.Random, spans: list[int], lo: int, width: int):
+    """Rapid-toggle's draws over epochs ``spans`` ns long (each above 0): each
+    window's duration ``lo + randrange(width)``, the last of an epoch cut off
+    at its end, then its hop bit, and each epoch's window count; ``rng`` is
+    left where those ``randrange`` and ``choice`` calls leave it.
+
+    The words come in blocks, each sized for the windows the epochs left are
+    expected to need, plus slack, and resolved by :func:`_window_draws`; the
+    words of a window a block holds only in part open the next block.  When
+    the last epoch ends inside a block, ``rng`` is set back and draws the used
+    words again.  A block keeps no more windows than an int64 sum can hold.
+    """
+    k = width.bit_length()
+    words_each = ((k - 1) // 32 + 1) * 2**k / width + 2  # mean words a window takes
+    mean, most = lo + (width - 1) / 2, _INT64_MAX // (lo + width - 1)
+    durs, bits, counts = [], [], []
+    tail, e, m, left = np.zeros(0, np.uint32), 0, 0, sum(spans)
+    need = spans[0]  # what epoch e has yet to cover; m of its windows are drawn
+    while e < len(spans):
+        ahead = left / mean + len(spans) - e  # the windows still expected
+        size = min(int((ahead + ahead / 8 + 16) * words_each), _DRAW_BLOCK)
+        saved = rng.getstate()
+        words = np.concatenate([tail, _words(rng, size)])
+        end, value, hop = (col[:most] for col in _window_draws(words, k, width))
+        dur = value.astype(np.int64) + lo
+        reach = np.cumsum(dur)
+        top = int(reach[-1]) if len(reach) else 0
+        used, base = 0, 0
+        while e < len(spans) and base + need <= top:
+            i = int(np.searchsorted(reach, base + need))
+            dur[i] -= int(reach[i]) - (base + need)  # cut off at the epoch's end
+            counts.append(m + i + 1 - used)
+            used, base, left, m, e = i + 1, int(reach[i]), left - need, 0, e + 1
+            need = spans[e] if e < len(spans) else 0
+        if e < len(spans):  # epoch e goes on into the next block
+            m, need, left = m + len(reach) - used, need - (top - base), left - (top - base)
+            used, tail = len(reach), words[end[-1] if len(end) else 0 :]
+        elif end[used - 1] < len(words):
+            _rewind(rng, saved, int(end[used - 1]) - len(tail))
+        durs.append(dur[:used])
+        bits.append(hop[:used])
+    return np.concatenate(durs), np.concatenate(bits), np.array(counts)
+
+
+def _walk_channels(hop: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Channel ids of walks that start on 37 where ``first`` is set and
+    otherwise hop by ``hop[i]``, the ``choice`` index into the other two
+    channels (in id order) of the hop into item i: 1 moves to 39 unless already
+    on 39, and then to 38; 0 moves to 37 unless already on 37, and then to 38.
+
+    So within a run of equal hops the channels alternate between that hop's
+    own channel and 38, and a walk's start reads as a hop of 0 onto 37.
+    """
+    c = np.where(first, 0, hop)
+    fresh = first.copy()
+    fresh[1:] |= c[1:] != c[:-1]
+    i = np.arange(len(c))
+    return np.where((i - np.maximum.accumulate(np.where(fresh, i, 0))) & 1, 38, 37 + 2 * c)
 
 
 def _cadence(bounds, interval_ns, window_ns) -> tuple[ScanWindows, np.ndarray]:
@@ -386,31 +526,24 @@ class RapidToggle(ScannerBehavior):
 
     def windows(self, settings, epochs, rng):
         """Each window draws ``randrange(min, max + 1)`` as CPython does, then
-        hops; so does an epoch's last window.  The windows go straight into
-        int64 columns, with no object per window."""
+        hops; so does an epoch's last window, and an empty epoch draws nothing.
+        The draws are made in bulk by :func:`_toggle_draws`."""
         lo = self.min_window.ns
+        spans = [(s.ns, e.ns - s.ns) for s, e in epochs if s.ns < e.ns]
+        if not spans:
+            return ScanWindows(*np.zeros((3, 0), np.int64))
         width = self.max_window.ns - lo + 1
-        k = width.bit_length()
-        bits = rng.getrandbits
-        starts, ends, ids = array("q"), array("q"), array("q")
-        for start, end in epochs:
-            cursor, stop, first = start.ns, end.ns, len(starts)
-            if cursor >= stop:
-                continue
-            walk = _random_walk(rng)
-            for ch in walk:
-                starts.append(cursor)
-                ids.append(ch)
-                r = bits(k)  # randrange: k-bit draws until one is below the width
-                while r >= width:
-                    r = bits(k)
-                cursor += lo + r
-                if cursor >= stop:
-                    break
-            next(walk)  # the hop after an epoch's last window is drawn too
-            ends += starts[first + 1 :]
-            ends.append(stop)
-        return ScanWindows(*[np.frombuffer(col, np.int64) for col in (starts, ends, ids)])
+        dur, hop, counts = _toggle_draws(rng, [span for _, span in spans], lo, width)
+        # A window ends at its epoch's start plus the durations so far in the
+        # epoch: the sum over all epochs less the spans before the epoch, in
+        # int64 arithmetic, which like the sum is exact modulo 2**64.
+        before = accumulate((span for _, span in spans), initial=0)
+        offset = np.array([(s - b) % 2**64 for (s, _), b in zip(spans, before)], np.uint64)
+        ends = np.repeat(offset.view(np.int64), counts) + np.cumsum(dur)
+        fresh = np.zeros(len(dur), bool)
+        fresh[np.cumsum(counts) - counts] = True
+        # the hop after a window leads into the next; an epoch starts on 37
+        return ScanWindows(ends - dur, ends, _walk_channels(np.roll(hop, 1), fresh))
 
 
 class NonStandardOrder(ScannerBehavior):
@@ -431,7 +564,9 @@ class NonStandardOrder(ScannerBehavior):
     def windows(self, settings, epochs, rng):
         interval = settings.scan_interval.ns
         made = _cadence([(s.ns, e.ns) for s, e in epochs], interval, interval)[0]
-        made.channel[:] = np.fromiter(islice(_random_walk(rng), len(made)), np.int64, len(made))
+        hop = np.zeros(len(made), np.int64)
+        hop[1:] = _hops(rng, len(made) - 1)  # into each window but the first
+        made.channel[:] = _walk_channels(hop, np.arange(len(made)) == 0)
         return made
 
 
@@ -766,15 +901,20 @@ def simulate_reception(
     # Each epoch's run of beacons takes its latency; no window opens before the first.
     cuts = np.append(np.searchsorted(t, restart_ns), len(t))
     app_ns = clock.to_app_ns(t) + np.repeat(jitters, np.diff(cuts))
-    order = np.argsort(app_ns, kind="stable")
-    win = win[order]
+    # App times rise within an epoch, so they are out of order only where an
+    # epoch's first beacon comes before the beacon ahead of it.
+    edge = cuts[1:-1]
+    edge = edge[(edge > 0) & (edge < len(t))]
+    if np.any(app_ns[edge] < app_ns[edge - 1]):
+        order = np.argsort(app_ns, kind="stable")
+        app_ns, ev, win = app_ns[order], ev[order], win[order]
     return Packets(
-        recv_ns=app_ns[order],
-        device=events.source[ev[order]],
+        recv_ns=app_ns,
+        device=events.source[ev],
         device_ids=tuple([device_id for device_id, _ in events.sources]),
         channel=w_channel[win],
         window_index=win,
-        rssi_dbm=np.full(len(order), np.nan),
+        rssi_dbm=np.full(len(t), np.nan),
     )
 
 

@@ -9,6 +9,7 @@ checked against slot enumeration by integer division.
 
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from blechannel.detector import (
     KINDS,
     PRE_START,
     DetectorConfig,
+    _slot_rule,
     classify_ns,
     classify_time,
     classify_trace,
@@ -199,6 +201,54 @@ def test_reception_on_windows_shorter_than_a_burst_matches_the_loop(data):
     loss = LossModel(data.draw(st.sampled_from([0.0, 0.3])))
     seed = data.draw(st.integers(min_value=0, max_value=2**32))
     assert_same_reception(events, windows, restarts, clock, loss, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    jitter_ms=st.lists(st.integers(0, 600), min_size=2, max_size=2).map(sorted),
+    restart_every_ms=st.integers(50, 6000),
+    loss=st.sampled_from([0.0, 0.1, 0.5]),
+    tag=st.sampled_from(sorted(BEHAVIOR_TAGS)),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_reception_equals_sorting_by_app_time(jitter_ms, restart_every_ms, loss, tag, seed):
+    # the loop sorts every capture by app time; reception sorts only where an
+    # epoch's latency lets its first packets overtake the epoch before
+    end_ns = 8 * 10**9
+    restarts = [
+        TimeInstant(ns, RADIO_CLOCK) for ns in range(0, end_ns, restart_every_ms * 1_000_000)
+    ]
+    end = TimeInstant(end_ns, RADIO_CLOCK)
+    behavior = behavior_from_tag(tag, alt_interval=Duration.from_seconds(1.5))
+    scan = preset_settings("SCAN_MODE_LOW_LATENCY")
+    windows = gen_scan_windows(behavior, scan, restarts, end, substream(seed, "scan"))
+    every_100ms = AdvSettings(Duration.from_seconds(0.1))
+    events = [
+        ev
+        for d in range(2)
+        for ev in gen_advertising(every_100ms, f"dev{d}", restarts[0], end, substream(seed, f"{d}"))
+    ]
+    clock = ClockModel(5e-5, (jitter_ms[0] / 1000, jitter_ms[1] / 1000))
+    assert_same_reception(events, windows, restarts, clock, LossModel(loss), seed)
+
+
+def test_reception_sorts_only_where_a_later_epoch_overtakes():
+    # Restarts every 1 s with 0-0.5 s of latency: an epoch whose latency is
+    # well below the one before delivers its first packets before that
+    # epoch's last, so sorting by app time breaks window order.  Without
+    # latency the caught beacons are in app order as caught, in window order.
+    end = radio_instant(10.0)
+    restarts = [radio_instant(float(s)) for s in range(10)]
+    scan = preset_settings("SCAN_MODE_LOW_LATENCY")
+    compliant = behavior_from_tag("compliant")
+    windows = gen_scan_windows(compliant, scan, restarts, end, substream(1, "scan"))
+    every_50ms = AdvSettings(Duration.from_seconds(0.05))
+    events = list(gen_advertising(every_50ms, "d", restarts[0], end, substream(1, "adv")))
+    for jitter, overtakes in (((0.0, 0.5), True), ((0.0, 0.0), False)):
+        clock = ClockModel(jitter_range=jitter)
+        packets = assert_same_reception(events, windows, restarts, clock, LossModel(), 1)
+        in_order = [p.window_index for p in packets]
+        assert (in_order != sorted(in_order)) is overtakes
 
 
 def test_reception_of_no_events_draws_only_the_latencies():
@@ -396,6 +446,60 @@ def test_classify_trace_items_match_classify_time(recv, restarts, guard_ms):
             assert cp.result == classify_time(p.recv, cp.anchor, config)
         assert classified.labels() == tuple(cp.result.label for cp in classified)
         assert [KINDS[k] for k in classified.kind] == [cp.result.kind for cp in classified]
+
+
+@st.composite
+def any_interval_and_guard(draw):
+    """Any interval DetectorConfig takes (2 to 2**63 - 1 ns) and a guard below it."""
+    interval = draw(st.one_of(st.integers(2, 64), st.integers(2, 2**63 - 1)))
+    guard = draw(st.one_of(st.just(0), st.just(interval - 1), st.integers(0, interval - 1)))
+    return interval, guard
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta=st.lists(st.integers(0, 2**64 - 1), max_size=40), timing=any_interval_and_guard())
+def test_slot_rule_gives_divmod_for_ints_and_uint64(delta, timing):
+    interval, guard = timing
+    want = [divmod(d, interval) for d in delta]
+    edge = [2 * rem < guard or 2 * rem > 2 * interval - guard for _, rem in want]
+    args = np.array(delta, np.uint64), np.uint64(interval), np.uint64(guard)
+    slot, rem, guarded = _slot_rule(*args)
+    assert [slot.dtype, rem.dtype] == [np.uint64, np.uint64]
+    assert list(zip(slot.tolist(), rem.tolist(), guarded.tolist())) == [
+        (s, r, g) for (s, r), g in zip(want, edge)
+    ]
+    assert [_slot_rule(d, interval, guard) for d in delta] == [
+        (s, r, g) for (s, r), g in zip(want, edge)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    recv=st.lists(INT64, max_size=60),
+    restarts=st.lists(INT64, min_size=1, max_size=8, unique=True),
+    timing=any_interval_and_guard(),
+    data=st.data(),
+)
+def test_kernel_labels_and_outcomes_at_any_interval(recv, restarts, timing, data):
+    # restarts in any order, packets before every restart among them
+    interval, guard = timing
+    starts = sorted(restarts)
+    expected = [division_oracle(t, starts, interval, guard) for t in recv]
+    columns = classify_ns(recv, restarts, interval, guard)
+    assert list(zip(*(c.tolist() for c in columns))) == expected
+    ids = st.sampled_from([0, 37, 38, 39])
+    truth = data.draw(st.lists(ids, min_size=len(recv), max_size=len(recv)))
+    packets = [PacketRecord(TimeInstant(t, APP_CLOCK), "d", CH.get(c)) for t, c in zip(recv, truth)]
+    anchors = [TimeInstant(ns, APP_CLOCK) for ns in restarts]
+    config = DetectorConfig(ScanSettings(Duration(interval), Duration(interval)), Duration(guard))
+    classified = classify_trace(packets, anchors, config)
+    codes = [slot % 3 if kind == CHANNEL else kind + 2 for kind, slot, _, _ in expected]
+    assert classified.labels().code.tolist() == codes
+    judged = [
+        int(37 + slot % 3 == c) if kind == CHANNEL and c else -1
+        for (kind, slot, _, _), c in zip(expected, truth)
+    ]
+    assert classified.outcomes(np.array(truth, np.int64)).tolist() == judged
 
 
 def test_kernel_needs_a_restart():

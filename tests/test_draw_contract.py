@@ -1,13 +1,14 @@
 """The CPython draw contract the simulator's bulk draws rely on.
 
-``_event_starts`` and ``_gauss_draws`` read a ``random.Random`` as a stream
-of 32-bit Mersenne Twister words instead of calling ``randrange`` or
-``gauss`` once per value, and ``_gauss_draws`` reads and sets the second
-value that ``gauss`` keeps pending in ``gauss_next``.
-``RapidToggle.windows`` and the channel walk of the random-hop scanners
-call ``getrandbits`` themselves where ``randrange`` and ``choice`` would.
-``_event_starts`` may draw words past the end of a run, then sets the
-generator back with ``setstate`` and draws the used words again in one call.
+``_event_starts``, ``_gauss_draws`` and the window draws of the random-hop
+scanners (rapid-toggle's ``randrange`` and ``choice`` per window,
+nonstandard-order's ``choice`` per window) read a ``random.Random`` as a
+stream of 32-bit Mersenne Twister words instead of calling ``randrange``,
+``choice`` or ``gauss`` once per value, and ``_gauss_draws`` reads and sets
+the second value that ``gauss`` keeps pending in ``gauss_next``.
+``_event_starts`` and the window draws may draw words past the end of a
+run, then set the generator back with ``setstate`` and draw the used words
+again in one call.
 Each only gives the same numbers if the interpreter draws those values in
 the way checked here.  ``substream`` seeds ``random.Random(text)`` in the
 constructor, which must give the state of ``Random()`` then ``.seed(text)``.

@@ -9,7 +9,9 @@ seed and settings, a behavior's ``ScanWindows`` must hold the same
 
 import random
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from blechannel.core import (
     TimeInstant,
     next_channel,
 )
+from blechannel import simkit
 from blechannel.errors import ClockMismatchError
 from blechannel.simkit import (
     BEHAVIOR_TAGS,
@@ -35,6 +38,7 @@ from blechannel.simkit import (
     Compliant,
     ContinueChannel,
     LossModel,
+    NonStandardOrder,
     RapidToggle,
     ScanWindow,
     ScanWindows,
@@ -206,6 +210,64 @@ def test_window_columns_equal_the_object_layout(data, tag, seed):
     want = REFERENCES[tag](behavior, requested, epochs, ref_rng)
     assert list(zip(got.start_ns.tolist(), got.end_ns.tolist(), got.channel.tolist())) == rows(want)
     assert got == want
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@st.composite
+def short_epoch_lists(draw, one_window_ns, most_ns):
+    """1-8 epochs, each empty (ending at or before its start), shorter than
+    ``one_window_ns`` (one window) or up to ``most_ns`` long, with gaps."""
+    epochs, t = [], draw(st.integers(0, 10**12))
+    for _ in range(draw(st.integers(1, 8))):
+        span = draw(
+            st.one_of(
+                st.integers(-5, 0), st.integers(1, one_window_ns), st.integers(1, most_ns)
+            )
+        )
+        epochs.append((t, t + span))
+        t += max(span, 0) + draw(st.integers(0, 10**9))
+    return epochs_ns(*epochs)
+
+
+IGNORED = ScanSettings(Duration(10**8), Duration(10**8))  # rapid-toggle keeps its own timing
+# Blocks of as few as 8 words, so windows run across many blocks, and the
+# default block size.
+BLOCKS = st.sampled_from([8, 64, simkit._DRAW_BLOCK])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), bits=st.integers(1, 55), seed=st.integers(0, 2**32), block=BLOCKS)
+def test_rapid_toggle_draws_in_bulk_as_the_loop_does(data, bits, seed, block):
+    # a window spread of exactly ``bits`` bits: one-word draws up to 32, two above
+    spread = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    lo = data.draw(st.one_of(st.integers(1, 64), MS))
+    behavior = RapidToggle(Duration(lo), Duration(lo + spread - 1))
+    # about 150 windows at most per epoch, and 8 epochs well inside int64
+    epochs = data.draw(short_epoch_lists(lo, min(150 * (lo + spread // 2), 2**59)))
+    rng, ref_rng = substream(seed, "scan"), substream(seed, "scan")
+    with mock.patch.object(simkit, "_DRAW_BLOCK", block):
+        got = behavior.windows(IGNORED, epochs, rng)
+    want = reference_rapid_toggle(behavior, IGNORED, epochs, ref_rng)
+    assert list(zip(got.start_ns.tolist(), got.end_ns.tolist(), got.channel.tolist())) == rows(
+        want
+    )
+    assert got.channel.dtype == np.int64
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), block=BLOCKS)
+def test_nonstandard_order_draws_its_walk_in_bulk_as_the_loop_does(data, seed, block):
+    interval = data.draw(st.one_of(st.integers(1, 64), MS))
+    requested = ScanSettings(Duration(interval), Duration(interval))
+    epochs = data.draw(short_epoch_lists(interval, 600 * interval))
+    rng, ref_rng = substream(seed, "scan"), substream(seed, "scan")
+    with mock.patch.object(simkit, "_DRAW_BLOCK", block):
+        got = NonStandardOrder().windows(requested, epochs, rng)
+    want = reference_nonstandard_order(NonStandardOrder(), requested, epochs, ref_rng)
+    assert list(zip(got.start_ns.tolist(), got.end_ns.tolist(), got.channel.tolist())) == rows(
+        want
+    )
     assert rng.getstate() == ref_rng.getstate()
 
 
