@@ -191,8 +191,15 @@ def classify_ns(recv_ns, restart_ns, interval_ns: int, guard_ns: int):
     2`` (slots then fit int64; DetectorConfig enforces it) and ``0 <=
     guard_ns < interval_ns``.
     """
-    recv = np.asarray(recv_ns, dtype=np.int64)
     starts = np.sort(np.asarray(restart_ns, dtype=np.int64))
+    return _classify_sorted(np.asarray(recv_ns, dtype=np.int64), starts, interval_ns, guard_ns)
+
+
+def _classify_sorted(recv: np.ndarray, starts: np.ndarray, interval_ns: int, guard_ns: int):
+    """:func:`classify_ns` of restarts already sorted.  Each column is written
+    once: ``kind`` is the guard test's bools (CHANNEL 0, GUARD 1), the uint64
+    slot and remainder are viewed as int64 (both fit), and the pre-start
+    rows are then overwritten in place."""
     if not starts.size:
         raise ConfigError("need at least one scan start to classify against")
     anchor = np.maximum(np.searchsorted(starts, recv, side="right") - 1, 0)
@@ -200,9 +207,10 @@ def classify_ns(recv_ns, restart_ns, interval_ns: int, guard_ns: int):
     pre = recv < start
     delta = recv.view(np.uint64) - start.view(np.uint64)
     slot, rem, guarded = _slot_rule(delta, np.uint64(interval_ns), np.uint64(guard_ns))
-    kind = np.where(pre, PRE_START, np.where(guarded, GUARD, CHANNEL))
-    slot = np.where(pre, 0, slot.astype(np.int64))
-    return kind, slot, np.where(pre, 0, rem.astype(np.int64)), anchor
+    kind, slot, rem = guarded.astype(np.int64), slot.view(np.int64), rem.view(np.int64)
+    if pre.any():
+        kind[pre], slot[pre], rem[pre] = PRE_START, 0, 0
+    return kind, slot, rem, anchor
 
 
 class SessionMode(enum.Enum):
@@ -316,8 +324,9 @@ class ClassifiedPackets(ColumnView):
     def outcomes(self, true_channel: np.ndarray) -> np.ndarray:
         """1 where the channel matches ``true_channel`` (ids, 0 unknown), 0
         where it does not, -1 for guard, pre-start and unknown truth."""
-        judged = (self.kind == CHANNEL) & (true_channel != 0)
-        return np.where(judged, 37 + _channel_offset(self.slot) == true_channel, -1)
+        out = (37 + _channel_offset(self.slot) == true_channel).astype(np.int64)
+        out[(self.kind != CHANNEL) | (true_channel == 0)] = -1
+        return out
 
 
 def classify_trace(packets, restarts, config: DetectorConfig) -> ClassifiedPackets:
@@ -336,5 +345,5 @@ def classify_trace(packets, restarts, config: DetectorConfig) -> ClassifiedPacke
         raise ClockMismatchError("packets and restarts must share one clock")
     starts = np.sort(restarts.ns)
     interval = config.scan_settings.scan_interval.ns
-    kind, slot, rem, anchor = classify_ns(packets.recv_ns, starts, interval, config.guard.ns)
+    kind, slot, rem, anchor = _classify_sorted(packets.recv_ns, starts, interval, config.guard.ns)
     return ClassifiedPackets(packets, starts, restarts.clock, interval, kind, slot, rem, anchor)

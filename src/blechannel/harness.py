@@ -608,15 +608,15 @@ def _stripped_rows(body: str, lineno: int) -> tuple[bytes, Sequence[int]]:
 
 def trace_from_text(text: str) -> TraceFile:
     """A trace from its CSV text: the header from its leading lines, the body
-    from its UTF-8 bytes, ``_TEXT_BLOCK`` rows at a time.  A body whose bytes
-    are all printable ASCII or newlines, no line empty (as the writer
-    writes it), is read as it is; any other is first normalized by
-    ``_stripped_rows``.  A block that fails is halved until one row raises,
+    from its UTF-8 bytes, ``_TEXT_BLOCK`` rows at a time.  A body whose bytes,
+    each CRLF made LF, are all printable ASCII or newlines, no line empty
+    (as the writer writes it), is read from those bytes; any other is first
+    normalized by ``_stripped_rows`` from its text as given.  A block that fails is halved until one row raises,
     so the error names the first bad line."""
     head, start = _trace_head(text)
     (scan_interval_ns, scan_window_ns, behavior, seed), restarts, has_est, i = _trace_header(head)
     body_text = text[start:]
-    body = body_text.encode("utf-8", "surrogatepass")
+    body = body_text.replace("\r\n", "\n").encode("utf-8", "surrogatepass")
     u8 = np.frombuffer(body, np.uint8)
     ends = np.flatnonzero(u8 - np.uint8(0x21) > 0x7E - 0x21)  # every byte but printable ASCII
     if (u8[ends] == _NEWLINE).all() and (np.diff(ends, prepend=-1) > 1).all():
@@ -625,6 +625,7 @@ def trace_from_text(text: str) -> TraceFile:
             ends = np.append(ends, len(body) - 1)
         linenos = range(i + 2, i + 2 + len(ends))
     else:
+        # the text as given: replacing CRLF would make one break of CR CR LF
         body, linenos = _stripped_rows(body_text, i + 2)
         ends = np.flatnonzero(np.frombuffer(body, np.uint8) == _NEWLINE)
     view, pad = memoryview(body), bytes(_PAD)
@@ -812,6 +813,9 @@ class Samples(NamedTuple):
 
 def _tally(outcome: np.ndarray, idx: np.ndarray | int, n: int) -> np.ndarray:
     """(n, 3) int64 counts per bucket index: classified, correct, unclassified."""
+    if n == 1:  # every index is 0: two counts, no bincount
+        classified, correct = np.count_nonzero(outcome >= 0), np.count_nonzero(outcome > 0)
+        return np.array([[classified, correct, len(outcome) - classified]], np.int64)
     counts = np.bincount(3 * idx + outcome + 1, minlength=3 * n).reshape(n, 3)
     unclassified, wrong, correct = counts.T
     return np.stack([wrong + correct, correct, unclassified], axis=1)
@@ -820,9 +824,11 @@ def _tally(outcome: np.ndarray, idx: np.ndarray | int, n: int) -> np.ndarray:
 def _bucketed(samples: Samples, bucket_s: float, horizon_s: float) -> np.ndarray:
     """:func:`_tally` of the samples in [0, horizon) by ``bucket_s`` bucket."""
     n = _bucket_count(bucket_s, horizon_s)
-    keep = (samples.elapsed_s >= 0) & (samples.elapsed_s < horizon_s)
-    idx = np.minimum((samples.elapsed_s[keep] / bucket_s).astype(np.int64), n - 1)
-    return _tally(samples.outcome[keep], idx, n)
+    elapsed, outcome = samples
+    keep = (elapsed >= 0) & (elapsed < horizon_s)
+    if not keep.all():  # gather only when some sample falls outside
+        elapsed, outcome = elapsed[keep], outcome[keep]
+    return _tally(outcome, np.minimum((elapsed / bucket_s).astype(np.int64), n - 1), n)
 
 
 def _curve(edges, counts) -> AccuracyCurve:

@@ -786,12 +786,14 @@ def test_written_traces_are_read_a_block_at_a_time(with_rssi):
 
 def test_a_written_body_is_read_from_its_bytes():
     """Each block is a slice of the encoded body between NUL padding; no
-    str row is made on the way, unless the body needs normalizing."""
+    str row is made on the way, unless the body needs normalizing.  CRLF
+    line ends alone do not: they become LF on the way to the bytes."""
     trace = simulate_scenario(ExperimentConfig(duration_s=300.0), 4, with_rssi=True)
     text = trace_to_text(trace)
     body = text.encode()[text.index("\n", text.index(TRACE_COLUMNS)) + 1 :]
     pad = bytes(harness._PAD)
-    for edited, normalized in ((text, False), (text.replace("\n", "\r\n"), True)):
+    crlf = text.replace("\n", "\r\n")
+    for edited, normalized in ((text, False), (crlf, False), (text + "\n", True)):
         with mock.patch.object(harness, "_trace_block", wraps=harness._trace_block) as spy, \
                 mock.patch.object(harness, "_stripped_rows", wraps=harness._stripped_rows) as rows:
             back = trace_from_text(edited)
@@ -801,6 +803,25 @@ def test_a_written_body_is_read_from_its_bytes():
         assert all(b.startswith(pad + b"\n") and b.endswith(b"\n" + pad) for b in blocks)
         assert b"".join(b[len(pad) + 1 : -len(pad)] for b in blocks) == body
         assert columns_of(back.packets) == columns_of(trace_from_text(text).packets)
+
+
+def test_a_cr_before_a_crlf_is_a_line_of_its_own():
+    """In CR CR LF the first CR ends a line and CR LF ends the next, so
+    replacing CRLF by LF must not make one break of the two: such a body
+    is normalized, and a bad row after it names its own file line."""
+    lines = trace_to_text(simulate_scenario(ExperimentConfig(duration_s=60.0), 4)).splitlines()
+    head = lines.index(next(ln for ln in lines if ln.startswith("recv_time_ns"))) + 1
+    for bad in (False, True):
+        body = lines[head:] + ["x,dev0,37,,"] * bad
+        for text in (
+            "\r\n".join(lines[:head]) + "\r\n" + "\r\r\n".join(body) + "\r\n",
+            "\r\n".join(lines[:head] + body[:3]) + "\r" + "\r\n".join(body[3:]),
+        ):
+            with mock.patch.object(harness, "_stripped_rows", wraps=harness._stripped_rows) as rows:
+                got = outcome(trace_from_text, text)
+            assert rows.called
+            assert got == outcome(reference_trace_from_text, text)
+            assert isinstance(got[0], dict) != bad
 
 
 @st.composite

@@ -502,6 +502,32 @@ def test_kernel_labels_and_outcomes_at_any_interval(recv, restarts, timing, data
     assert classified.outcomes(np.array(truth, np.int64)).tolist() == judged
 
 
+@pytest.mark.parametrize(
+    "recv, restarts",
+    [
+        ([5, -3, 40, 12, 7], [10, 0]),  # pre-start rows and restarts out of order
+        ([-(2**63), 2**63 - 1, 0, -1], [2**63 - 1, -(2**63) + 1]),  # int64 extremes
+        ([-(2**63), -(2**63) + 1], [-(2**63)]),  # no pre-start row
+        ([], [3]),
+    ],
+)
+def test_kernel_columns_are_int64_writable_and_disjoint(recv, restarts):
+    columns = classify_ns(np.array(recv, np.int64), restarts, 7, 3)
+    assert len(columns) == 4
+    for c in columns:
+        assert c.dtype == np.int64 and c.shape == (len(recv),) and c.flags.writeable
+    for i, a in enumerate(columns):
+        assert not any(np.shares_memory(a, b) for b in columns[i + 1 :])
+    starts = sorted(restarts)
+    expected = [division_oracle(t, starts, 7, 3) for t in recv]
+    assert list(zip(*(c.tolist() for c in columns))) == expected
+    config = DetectorConfig(ScanSettings(Duration(7), Duration(7)), Duration(3))
+    packets = [PacketRecord(TimeInstant(t, APP_CLOCK), "d", CH[37]) for t in recv]
+    classified = classify_trace(packets, [TimeInstant(t, APP_CLOCK) for t in restarts], config)
+    outcome = classified.outcomes(np.full(len(recv), 37, np.int64))
+    assert outcome.dtype == np.int64 and outcome.flags.writeable
+
+
 def test_kernel_needs_a_restart():
     with pytest.raises(ConfigError):
         classify_ns([1, 2], [], 4, 0)

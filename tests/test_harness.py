@@ -296,6 +296,47 @@ def test_curve_merge_pools_counts():
         AccuracyCurve(buckets=()).totals
 
 
+def bincount_tally(outcome, idx, n):
+    """The (n, 3) tally by one bincount of every (bucket, outcome) pair."""
+    counts = np.bincount(3 * idx + outcome + 1, minlength=3 * n).reshape(n, 3)
+    return np.stack([counts[:, 1] + counts[:, 2], counts[:, 2], counts[:, 0]], axis=1)
+
+
+_outcomes = st.lists(st.sampled_from([-1, 0, 1]), max_size=200).map(
+    lambda o: np.array(o, np.int64)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(outcome=st.one_of(_outcomes, st.integers(0, 50).map(lambda n: np.full(n, -1))))
+def test_one_bucket_tally_matches_the_bincount(outcome):
+    got = harness._tally(outcome, 0, 1)
+    assert got.dtype == np.int64 and got.shape == (1, 3)
+    assert got.tolist() == bincount_tally(outcome, 0, 1).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    outcome=_outcomes,
+    where=st.sampled_from(["inside", "partly", "outside"]),
+    bucket_s=st.sampled_from([0.5, 10.0, 30.0, 1000.0]),
+    data=st.data(),
+)
+def test_bucketed_matches_always_gathering(outcome, where, bucket_s, data):
+    horizon_s = 30.0
+    inside = st.floats(0.0, horizon_s, exclude_max=True)
+    outside = st.one_of(st.floats(max_value=0.0, exclude_max=True), st.floats(min_value=horizon_s))
+    times = {"inside": inside, "partly": st.one_of(inside, outside), "outside": outside}[where]
+    n = len(outcome)
+    elapsed = np.array(data.draw(st.lists(times, min_size=n, max_size=n)), np.float64)
+    keep = (elapsed >= 0) & (elapsed < horizon_s)
+    k = math.ceil(horizon_s / bucket_s)
+    idx = np.minimum((elapsed[keep] / bucket_s).astype(np.int64), k - 1)
+    want = bincount_tally(outcome[keep], idx, k)
+    got = harness._bucketed(harness.Samples(elapsed, outcome), bucket_s, horizon_s)
+    assert got.tolist() == want.tolist()
+
+
 _counts = st.integers(0, 50)
 _bucket_counts = st.tuples(_counts, _counts, _counts).map(
     lambda c: (c[0] + c[1], c[1], c[2])  # (classified, correct, unclassified)
